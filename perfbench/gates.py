@@ -28,25 +28,23 @@ def canonical_digest(payload: dict) -> str:
 def scan_store(root: Path) -> dict:
     """Digest every result record under a result-store root.
 
-    Returns ``records`` (truncated key -> digest), ``quarantined`` (the
-    number of persisted failure records) and ``instructions`` (simulated
-    instructions summed over the snapshots of every record).
+    Returns ``records`` (truncated key -> digest) and ``instructions``
+    (simulated instructions summed over the snapshots of every record).
+    Persisted failure records are skipped: the runner counts those.
     """
     records: dict[str, str] = {}
-    quarantined = 0
     instructions = 0.0
     for path in sorted(Path(root).glob("*/*.json")):
         if path.parent.name != path.stem[:2]:
             continue  # not a record: e.g. traces/*.meta.json
         payload = json.loads(path.read_text(encoding="utf-8"))
         if payload.get("kind") == "failure":
-            quarantined += 1
             continue
         records[path.stem[:DIGITS]] = canonical_digest(payload)
         result = payload["result"]
         snapshots = result["snapshots"] if "snapshots" in result else [result["snapshot"]]
         instructions += sum(s["instructions"] for s in snapshots)
-    return {"records": records, "quarantined": quarantined, "instructions": instructions}
+    return {"records": records, "instructions": instructions}
 
 
 def mismatches(actual: dict[str, str], expected: dict[str, str]) -> int:

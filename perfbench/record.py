@@ -3,11 +3,11 @@
 Run from the repository root, only when simulated behaviour changes on
 purpose (the same rule as for the golden fixtures)::
 
-    python3 perfbench/record.py [--workloads sweep4 alone1] [--seeds 16]
+    python3 perfbench/record.py
 
-Each (workload, seed) runs once through the benchmark's own child process on a
-fresh store and ``nproc`` workers; the cold-cache guard applies.  Listed
-workloads are replaced, the others kept.
+Every workload of :data:`run.WORKLOADS` runs once per seed ``0..SEEDS-1``
+through the benchmark's own child process, on a fresh store and ``nproc``
+workers; the cold-cache guard applies.  The file is rewritten whole.
 """
 
 from __future__ import annotations
@@ -19,20 +19,15 @@ import time
 
 import run
 
+SEEDS = 16
+
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", nargs="+", choices=run.WORKLOADS, default=run.WORKLOADS)
-    parser.add_argument("--seeds", type=int, default=16)
-    args = parser.parse_args(argv)
-    reference = {"seeds": args.seeds, "env": run.PINNED_ENV, "runs": {}}
-    if run.REFERENCE.exists():
-        reference = json.loads(run.REFERENCE.read_text())
-        if reference["seeds"] != args.seeds:
-            parser.error(f"reference.json holds {reference['seeds']} seeds; re-record all workloads")
-    for workload in args.workloads:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    reference = {"seeds": SEEDS, "env": run.PINNED_ENV, "runs": {}}
+    for workload in run.WORKLOADS:
         runs = {}
-        for seed in range(args.seeds):
+        for seed in range(SEEDS):
             launcher = run.Launcher(workload, seed, time.monotonic() + run.BUDGET_S)
             result = launcher.launch(run.nproc())
             if result["store_hits"] or result["failed"]:

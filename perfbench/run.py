@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload sweep4 --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload sweep4 --seed 0 --seconds 60 --trace 0
 
 Workloads (see ``perfbench/README.md`` for why each exists and what each
 layer metric should move): ``sweep4`` and ``alone1``.
@@ -56,7 +56,7 @@ WORKLOADS = ("sweep4", "alone1")
 #: The only ``REPRO_*`` settings a child sees (plus ``REPRO_JOBS``).
 PINNED_ENV = {"REPRO_SCALE": "0.1"}
 #: Set-up-only launches per ``--trace 0`` run, on top of one per rep.
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 10
 #: Wall-clock budget of one benchmark invocation, all children included.
 BUDGET_S = 170.0
 
