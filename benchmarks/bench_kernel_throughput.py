@@ -32,12 +32,6 @@ reference loop):
   compares *pipelines*: one capture pass plus eight replays against eight
   fused runs, i.e. exactly what ``ParallelRunner`` schedules for an
   s-curve point.
-* ``llc_sweep_vec`` — the same capture-plus-sweep shape, comparing the
-  array-native replay kernel (:mod:`repro.cpu.replay_vec`) against the
-  scalar replay loop it mirrors, over one shared capture.  The ratio is
-  recorded on whichever backend resolves (numba JIT or the pure-numpy
-  fallback); the >=3x gate is enforced only for the numba build, which
-  the nightly matrix installs via the ``[jit]`` extra.
 
 Each scenario records fast and generic accesses/second plus their ratio in
 ``extra_info``; the ``test_kernel_speedup_recorded`` summary asserts the
@@ -55,7 +49,6 @@ from dataclasses import replace
 from repro.cpu.capture import capture_workload
 from repro.cpu.engine import MulticoreEngine
 from repro.cpu.replay import run_replay
-from repro.cpu.replay_vec import run_replay_vec, vec_backend, warm_backend
 from repro.experiments.common import scale_factor
 from repro.sim.build import build_hierarchy, build_sources
 from repro.sim.config import SystemConfig
@@ -258,74 +251,6 @@ def test_kernel_llc_sweep_throughput(benchmark):
     assert info["kernel_speedup"] > 1.0
 
 
-def _measure_llc_sweep_vec() -> dict[str, float]:
-    """Eight array-native replays vs eight scalar replays of one capture.
-
-    The capture is shared (and timed in neither pipeline): this scenario
-    isolates the replay-loop cost the SoA kernel attacks — batched event
-    decode, vectorised clock walks, folded SHiP signatures — against the
-    scalar per-event loop.  ``warm_backend`` runs outside the timed region,
-    mirroring the parallel runner's capture-phase warm-up, so a numba
-    build measures steady-state JIT throughput, not compilation.
-    """
-    config, workload, quota, warmup = _sweep_setup()
-
-    def engine_for(policy):
-        hierarchy = build_hierarchy(config, policy)
-        sources = build_sources(workload, config)
-        return MulticoreEngine(
-            hierarchy, sources, quota_per_core=quota, warmup_accesses=warmup
-        )
-
-    bundle = capture_workload(workload.benchmarks, config, quota, warmup, 0)
-    backend = warm_backend()
-    accesses = quota * len(SWEEP_MIX) * len(SWEEP_POLICIES)
-
-    start = time.perf_counter()
-    scalar_snapshots = []
-    for policy in SWEEP_POLICIES:
-        scalar_snapshots.append(run_replay(engine_for(policy), bundle, finalize=False))
-    scalar_elapsed = time.perf_counter() - start
-
-    start = time.perf_counter()
-    vec_snapshots = []
-    for policy in SWEEP_POLICIES:
-        vec_snapshots.append(run_replay_vec(engine_for(policy), bundle, finalize=False))
-    vec_elapsed = time.perf_counter() - start
-    assert vec_snapshots == scalar_snapshots, "replay_vec diverged from scalar replay"
-
-    return {
-        "accesses_per_second_fast": accesses / vec_elapsed,
-        "accesses_per_second_generic": accesses / scalar_elapsed,
-        "kernel_speedup": scalar_elapsed / vec_elapsed,
-        "accesses": accesses,
-        "policies": len(SWEEP_POLICIES),
-        "backend": backend,
-    }
-
-
-def _measure_llc_sweep_vec_recording() -> dict[str, float]:
-    info = _measure_llc_sweep_vec()
-    best = _SPEEDUPS.get("llc_sweep_vec")
-    if best is None or info["kernel_speedup"] > best["kernel_speedup"]:
-        _SPEEDUPS["llc_sweep_vec"] = info
-    return info
-
-
-def test_kernel_llc_sweep_vec_throughput(benchmark):
-    """Array-native vs scalar replay over the same capture (per backend).
-
-    The differential assert inside the measurement is the hard gate here;
-    the throughput ratio is recorded on both backends but only enforced
-    for the numba build (in the summary test) — the pure-numpy fallback
-    prioritises bit-identity over speed.
-    """
-    benchmark.pedantic(_measure_llc_sweep_vec_recording, rounds=3, iterations=1)
-    info = _SPEEDUPS["llc_sweep_vec"]
-    benchmark.extra_info.update(info)
-    assert info["accesses"] > 0
-
-
 def _ensure_scenario(name: str) -> None:
     """Measure *name* directly if its benchmark test was deselected.
 
@@ -337,9 +262,6 @@ def _ensure_scenario(name: str) -> None:
         return
     if name == "llc_sweep":
         _SPEEDUPS[name] = _measure_llc_sweep()
-        return
-    if name == "llc_sweep_vec":
-        _SPEEDUPS[name] = _measure_llc_sweep_vec()
         return
     fast = _accesses_per_second(name, force_generic=False)
     generic = _accesses_per_second(name, force_generic=True)
@@ -354,9 +276,7 @@ def _ensure_scenario(name: str) -> None:
 #: these): the hot loop isolates pure kernel overhead and must stay >= 2x,
 #: the two prefetch shapes must hold the PR 3 acceptance floor of 2x, the
 #: replay-engine sweep must hold its acceptance floor of 3x end to end
-#: (one capture amortised across eight policies; measured ~3.6x locally),
-#: and the array-native replay must beat the scalar replay by 3x when the
-#: numba backend is available (the nightly JIT matrix).
+#: (one capture amortised across eight policies; measured ~3.6x locally).
 SPEEDUP_GATES = {
     "hot_loop": 2.0,
     "single_app": 1.5,
@@ -365,17 +285,7 @@ SPEEDUP_GATES = {
     "l2_prefetch": 2.0,
     "ship_llc": 1.5,
     "llc_sweep": 3.0,
-    "llc_sweep_vec": 3.0,
 }
-
-
-def _gate_enforced(name: str) -> bool:
-    """The ``llc_sweep_vec`` gate measures the JIT backend: without numba
-    the numpy fallback is exercised (and its ratio recorded) for the
-    bit-identity guarantee, but its throughput is not a release gate."""
-    if name == "llc_sweep_vec":
-        return _SPEEDUPS[name].get("backend") == "numba"
-    return True
 
 
 def test_kernel_speedup_recorded(save_result):
@@ -384,16 +294,13 @@ def test_kernel_speedup_recorded(save_result):
         _ensure_scenario(name)
     lines = ["scenario        fast acc/s   generic acc/s   speedup"]
     for name, info in _SPEEDUPS.items():
-        suffix = f"  [{info['backend']}]" if "backend" in info else ""
         lines.append(
             f"{name:<14} {info['accesses_per_second_fast']:>12,.0f} "
             f"{info['accesses_per_second_generic']:>15,.0f} "
-            f"{info['kernel_speedup']:>8.2f}x{suffix}"
+            f"{info['kernel_speedup']:>8.2f}x"
         )
     save_result("kernel_throughput", "\n".join(lines))
     for name, gate in SPEEDUP_GATES.items():
-        if not _gate_enforced(name):
-            continue
         assert _SPEEDUPS[name]["kernel_speedup"] >= gate, (
             f"{name} speedup {_SPEEDUPS[name]['kernel_speedup']:.2f}x "
             f"below the {gate}x gate"

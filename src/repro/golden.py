@@ -130,11 +130,10 @@ def run_case(
 
     ``kernel`` selects the engine under test: ``"fast"`` (default, the
     fused loop), ``"generic"`` (the reference loop; ``force_generic`` is
-    the legacy spelling), ``"replay"`` (capture the private-level
-    streams, then run the LLC-filtered replay kernel) or ``"replay_vec"``
-    (same capture, driven through the array-native replay kernel).  Every
-    value is JSON-safe and round-trips exactly (floats serialise via
-    ``repr`` and compare bit-for-bit after a load).
+    the legacy spelling) or ``"replay"`` (capture the private-level
+    streams, then run the LLC-filtered replay kernel).  Every value is
+    JSON-safe and round-trips exactly (floats serialise via ``repr`` and
+    compare bit-for-bit after a load).
     """
     if kernel is None:
         kernel = "generic" if force_generic else "fast"
@@ -167,16 +166,6 @@ def run_case(
         snapshots = run_replay(engine, bundle)
         if snapshots is None:
             raise RuntimeError("golden platform must be replay eligible")
-    elif kernel == "replay_vec":
-        from repro.cpu.capture import capture_workload
-        from repro.cpu.replay_vec import run_replay_vec
-
-        bundle = capture_workload(
-            tuple(benchmarks), config, QUOTA, WARMUP, MASTER_SEED
-        )
-        snapshots = run_replay_vec(engine, bundle)
-        if snapshots is None:
-            raise RuntimeError("golden platform must be replay-vec eligible")
     else:
         # Drive the fused kernel directly — bypassing the REPRO_NO_FASTPATH
         # kill switch — so the "fast" record always exercises the fast path

@@ -46,10 +46,6 @@ from repro.report.aggregate import TournamentReport
 #: Bump when the snapshot encoding changes incompatibly.
 SNAPSHOT_SCHEMA = 1
 
-#: Schema of the companion ``BENCH_kernels.json`` snapshot (the kernel
-#: throughput trajectory; written by ``benchmarks/bench_capture_throughput.py``).
-KERNEL_SNAPSHOT_SCHEMA = 1
-
 #: Measured accesses for the kernel-throughput probe — matches the
 #: bench's ``BASE_QUOTA`` so the two numbers are directly comparable.
 KERNEL_PROBE_QUOTA = 40_000
@@ -145,50 +141,5 @@ def load_snapshot(path: str | Path) -> dict:
         raise ValueError(
             f"{path}: snapshot schema {payload.get('schema')!r} "
             f"(this build reads {SNAPSHOT_SCHEMA})"
-        )
-    return payload
-
-
-def kernel_config_hash(identity: dict) -> str:
-    """SHA-256 over the scenario identities feeding ``BENCH_kernels.json``.
-
-    *identity* holds exactly what makes two kernel snapshots comparable —
-    mixes, budgets, policy roster, replay slack — never the measured
-    throughput or the backend, which are machine properties.
-    """
-    blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def build_kernel_snapshot(identity: dict, scenarios: dict, *, backend: str) -> dict:
-    """The JSON-safe ``BENCH_kernels.json`` payload.
-
-    Companion to :func:`build_snapshot`: where ``BENCH_tournament.json``
-    tracks the *accuracy* trajectory, this tracks the *kernel-throughput*
-    trajectory (accesses/second per kernel tier, capture scalar-vs-vec
-    speedup, barrier-vs-pipelined sweep wall-clock).  ``backend`` records
-    which vec backend produced the numbers ("numba" on CI nightlies,
-    "numpy" where the JIT extra is absent) so readers never compare
-    across tiers by accident.
-    """
-    digest = kernel_config_hash(identity)
-    return {
-        "schema": KERNEL_SNAPSHOT_SCHEMA,
-        "run_id": f"kernels-{digest[:12]}-{backend}",
-        "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config_hash": digest,
-        "identity": identity,
-        "backend": backend,
-        "scenarios": scenarios,
-    }
-
-
-def load_kernel_snapshot(path: str | Path) -> dict:
-    """Read a ``BENCH_kernels.json`` snapshot, validating the schema."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != KERNEL_SNAPSHOT_SCHEMA:
-        raise ValueError(
-            f"{path}: kernel snapshot schema {payload.get('schema')!r} "
-            f"(this build reads {KERNEL_SNAPSHOT_SCHEMA})"
         )
     return payload

@@ -23,13 +23,11 @@ fast path for single-job batches.
 
 Policy sweeps additionally run a once-per-platform private-level
 *capture* pass (:mod:`repro.runner.replaystore`) so every swept job can
-execute on the LLC-only replay kernel.  By default captures and sim jobs
-share one dependency-edged queue: each sweep's replays are submitted the
-moment *its* capture's manifest entry lands, so a slow capture never
-stalls unrelated sweeps, and sticky affinity routing keeps a sweep's
-capture and replays on one worker (warm decoded-plane and bundle
-caches).  ``REPRO_NO_PIPELINE`` restores the two-phase barrier flow;
-results are bit-identical either way.
+execute on the LLC-only replay kernel.  Captures and sim jobs share one
+dependency-edged queue: each sweep's replays are submitted the moment
+*its* capture's manifest entry lands, so a slow capture never stalls
+unrelated sweeps, and sticky affinity routing keeps a sweep's capture
+and replays on one worker (a warm bundle cache).
 
 Execution is *supervised* (:mod:`repro.runner.supervisor`): every miss
 is submitted as its own future and collected in completion order, so a
@@ -92,27 +90,11 @@ def _job_trace_identities(job: Job) -> list[tuple]:
     ]
 
 
-def pipelining_enabled() -> bool:
-    """Is the barrier-free capture→replay scheduler on (the default)?
-
-    ``REPRO_NO_PIPELINE`` (non-empty, not ``0``) restores the two-phase
-    barrier flow — every capture completes before any replay job is
-    submitted.  Results are bit-identical either way; only wall clock
-    differs.
-    """
-    return os.environ.get("REPRO_NO_PIPELINE", "").strip().lower() in ("", "0")
-
-
 def _counters_snapshot() -> dict:
     """Per-process cache counters the runner aggregates across workers."""
-    from repro.cpu.replay_vec import PLANE_STATS
     from repro.runner.replaystore import REGISTRY_STATS
 
-    return {
-        "plane_hits": PLANE_STATS["plane_hits"],
-        "plane_misses": PLANE_STATS["plane_misses"],
-        "bundle_loads": REGISTRY_STATS["bundle_loads"],
-    }
+    return {"bundle_loads": REGISTRY_STATS["bundle_loads"]}
 
 
 def _execute_payload(task: tuple[dict, list[dict], list[dict], str, int]) -> dict:
@@ -125,8 +107,8 @@ def _execute_payload(task: tuple[dict, list[dict], list[dict], str, int]) -> dic
     re-initialisation beyond its first task.  The job's cache key and
     attempt number ride along too, for the fault-injection harness.
 
-    The wire dict carries a ``_counters`` delta (plane-cache hits/misses,
-    bundle loads) that the parent strips and folds into ``runner.stats``.
+    The wire dict carries a ``_counters`` delta (bundle loads) that the
+    parent strips and folds into ``runner.stats``.
     """
     payload, manifest, replay_manifest, key, attempt = task
     if manifest:
@@ -141,7 +123,7 @@ def _execute_payload(task: tuple[dict, list[dict], list[dict], str, int]) -> dic
 
 
 def _execute_task(task: tuple[str, object]) -> object:
-    """Worker entry point for the pipelined scheduler: tagged tasks.
+    """Worker entry point: tagged tasks.
 
     One pool serves both job families, so a worker alternates freely
     between ``("capture", ...)`` and ``("sim", ...)`` tasks as the
@@ -163,37 +145,8 @@ def _execute_task(task: tuple[str, object]) -> object:
     return _execute_payload(inner)
 
 
-def _execute_capture(task: tuple[dict, list[dict]]) -> dict | None:
-    """Worker entry point for one barrier-phase capture job.
-
-    Captures are scheduled ahead of the replay jobs that depend on them;
-    the shared-trace manifest is installed first so the capture pass
-    replays materialised trace buffers zero-copy instead of regenerating.
-    Replay is a pure optimisation, so *any* failure degrades to ``None``
-    — the affected sweep simply runs on the fused kernel.
-    """
-    payload, manifest = task
-    if manifest:
-        install_manifest(manifest)
-    try:
-        return _materialise_capture(payload)
-    except Exception:
-        return None
-
-
 def _materialise_capture(payload: dict) -> dict:
-    """Run one capture job (in a worker or inline); returns its entry.
-
-    JIT-compiles any requested array-native backend first, while the
-    capture is the batch's critical path, so the first swept replay in
-    this worker doesn't pay the compilation stall.
-    """
-    from repro.cpu import capture_vec, replay_vec
-
-    if replay_vec.replay_vec_requested():
-        replay_vec.warm_backend()
-    if capture_vec.capture_vec_requested():
-        capture_vec.warm_backend()
+    """Run one capture job (in a worker or inline); returns its entry."""
     return ReplayStore(payload["root"]).materialise(
         tuple(payload["benchmarks"]),
         _config_from(payload["config"]),
@@ -252,11 +205,9 @@ class ParallelRunner:
         #: ``executed`` simulations completed (counted per job, as each
         #: finishes), ``failed`` jobs quarantined after retries, the
         #: supervisor's ``retried``/``timeouts``/``pool_rebuilds`` and
-        #: sticky-routing ``sticky_hits``/``sticky_misses``, plus the
-        #: cache-affinity counters aggregated across workers:
-        #: ``bundle_loads`` (replay artifacts read from disk) and
-        #: ``plane_hits``/``plane_misses`` (decoded-plane cache, see
-        #: :mod:`repro.cpu.replay_vec`).
+        #: sticky-routing ``sticky_hits``/``sticky_misses``, plus
+        #: ``bundle_loads`` (replay artifacts read from disk), aggregated
+        #: across workers.
         self.stats = {
             "store_hits": 0,
             "executed": 0,
@@ -266,8 +217,6 @@ class ParallelRunner:
             "pool_rebuilds": 0,
             "sticky_hits": 0,
             "sticky_misses": 0,
-            "plane_hits": 0,
-            "plane_misses": 0,
             "bundle_loads": 0,
         }
         #: Every quarantined job over the runner's lifetime, and the
@@ -325,8 +274,8 @@ class ParallelRunner:
             # Install in this process too: inline execution replays the
             # same buffers the pool workers map.
             install_manifest(manifest)
-        # One supervisor (and pool) serves both phases: the capture jobs
-        # warm the workers (imports, trace-buffer mmaps) for the batch.
+        # One supervisor (and pool) serves captures and sims alike: the
+        # capture jobs warm the workers (imports, trace-buffer mmaps).
         supervisor = Supervisor(
             workers=min(self.jobs, len(misses)) if len(misses) > 1 else 1,
             policy=self.retry,
@@ -334,18 +283,9 @@ class ParallelRunner:
         counters_before = _counters_snapshot()
         try:
             plan = self._plan_captures([job for _, job in misses])
-            if plan and pipelining_enabled():
-                # Barrier-free: capture and replay jobs share one
-                # dependency-edged queue — each sweep's replays are
-                # submitted the moment *its* capture's entry lands.
-                iterator = self._execute_pipelined(supervisor, misses, manifest, plan)
-            else:
-                # Two-phase barrier: capture jobs run ahead of every
-                # replay job (they need the trace manifest in workers).
-                replay_manifest = self._prepare_replays(plan, manifest, supervisor)
-                install_replay_manifest(replay_manifest)
-                iterator = self._execute(supervisor, misses, manifest, replay_manifest)
-            for key, job, outcome in iterator:
+            for key, job, outcome in self._execute_pipelined(
+                supervisor, misses, manifest, plan
+            ):
                 if isinstance(outcome, FailureRecord):
                     self.stats["failed"] += 1
                     self.failures.append(outcome)
@@ -375,37 +315,6 @@ class ParallelRunner:
 
     def run_one(self, job: Job):
         return self.run([job])[0]
-
-    def _execute(
-        self,
-        supervisor: Supervisor,
-        misses: list[tuple[str, Job]],
-        manifest: list[dict],
-        replay_manifest: list[dict],
-    ):
-        if not misses:
-            return iter(())
-
-        def decode(job, data):
-            counters = data.pop("_counters", None)
-            if counters:
-                for name, value in counters.items():
-                    self.stats[name] = self.stats.get(name, 0) + value
-            return job.result_from_dict(data)
-
-        return supervisor.run_jobs(
-            misses,
-            worker_fn=_execute_payload,
-            task_for=lambda key, job, attempt: (
-                job.to_dict(),
-                manifest,
-                replay_manifest,
-                key,
-                attempt,
-            ),
-            inline_fn=lambda key, job: job.execute(),
-            decode=decode,
-        )
 
     # -- shared traces -----------------------------------------------------------
 
@@ -526,27 +435,6 @@ class ParallelRunner:
             plan[ident] = payload
         return plan
 
-    def _prepare_replays(
-        self,
-        plan: dict[tuple, dict],
-        trace_manifest: list[dict],
-        supervisor: Supervisor,
-    ) -> list[dict]:
-        """Barrier-phase capture: run every planned capture to completion.
-
-        One capture job runs per swept identity, scheduled through the
-        batch's worker pool ahead of it (captures parallelise across
-        identities and warm the workers' buffer mappings), and the
-        resulting manifest makes every swept job execute on the
-        LLC-filtered replay kernel.  A failed capture costs its entry,
-        never the batch — the affected sweep runs on the fused kernel.
-        """
-        if not plan:
-            return []
-        tasks = [(payload, trace_manifest) for payload in plan.values()]
-        entries = supervisor.map_resilient(_execute_capture, tasks)
-        return [entry for entry in entries if entry]
-
     def _execute_pipelined(
         self,
         supervisor: Supervisor,
@@ -561,13 +449,14 @@ class ParallelRunner:
         until the capture's manifest entry lands — and unrelated jobs
         flow freely around a slow (or hung, or crashed) capture.  Capture
         outcomes are folded into the growing replay manifest here and
-        never surface to the caller; only sim outcomes are yielded.
+        never surface to the caller; only sim outcomes are yielded.  A
+        batch without a sweep (empty *plan*) is just its sim jobs.
 
         Both job families carry the capture artifact's path as their
         affinity token, so the supervisor's sticky routing lands a
         sweep's capture *and* its replays on one worker — the worker that
-        decoded the bundle's planes keeps serving it (``plane_hits`` /
-        ``bundle_loads`` in :attr:`stats` make the reuse observable).
+        loaded the bundle keeps serving it (``bundle_loads`` in
+        :attr:`stats` makes the reuse observable).
         """
         from repro.cpu.capture import replay_slack
         from repro.runner.replaystore import replay_key

@@ -33,8 +33,8 @@ Two scheduling refinements serve the pipelined capture→replay flow:
 * **sticky affinity routing** — with an ``affinity`` map (job key →
   token) and two or more workers, the supervisor runs one single-worker
   pool per slot and prefers the slot that last ran a token unless it is
-  overloaded, so process-local caches keyed by that token (decoded
-  replay planes, loaded bundles) stay hot across a sweep.
+  overloaded, so process-local caches keyed by that token (loaded
+  replay bundles) stay hot across a sweep.
 
 Workers need no special re-initialisation after a rebuild: the shared
 trace and replay manifests ride along inside every task payload, so a
@@ -217,10 +217,6 @@ class Supervisor:
             pool = self._pools[idx] = ProcessPoolExecutor(max_workers=1)
         return pool
 
-    def _discard_pool(self) -> None:
-        """Abandon the shared pool (broken, or holding a hung worker)."""
-        self._discard_at(-1)
-
     def _discard_at(self, idx: int) -> None:
         """Abandon one pool slot; too many rebuilds degrade to inline."""
         if idx < 0:
@@ -232,39 +228,6 @@ class Supervisor:
         self.stats["pool_rebuilds"] += 1
         if self.stats["pool_rebuilds"] > self.policy.max_pool_rebuilds:
             self._degraded = True
-
-    # -- capture-phase fan-out ---------------------------------------------------
-
-    def map_resilient(self, fn: Callable, tasks: list) -> list:
-        """Run *fn* over *tasks* through the pool; degrade, never raise.
-
-        Used for the capture phase: an exception costs one ``None`` entry
-        and a pool crash reroutes the remainder inline.  *fn* must be
-        safe to call in the parent process.
-        """
-        pool = self.pool
-        if pool is None or len(tasks) < 2:
-            return [fn(task) for task in tasks]
-        try:
-            futures = [pool.submit(fn, task) for task in tasks]
-        except BrokenProcessPool:
-            self._discard_pool()
-            return [fn(task) for task in tasks]
-        results: list = []
-        broken = False
-        for future, task in zip(futures, tasks):
-            if broken:
-                results.append(fn(task))
-                continue
-            try:
-                results.append(future.result())
-            except BrokenProcessPool:
-                broken = True
-                self._discard_pool()
-                results.append(fn(task))
-            except Exception:
-                results.append(None)
-        return results
 
     # -- supervised job execution ------------------------------------------------
 

@@ -1,19 +1,17 @@
-"""End-to-end tests of the barrier-free capture→replay pipeline.
+"""End-to-end tests of the dependency-edged capture→replay pipeline.
 
-The load-bearing properties: pipelined, barrier and replay-disabled runs
-are bit-identical; a failed capture costs only its sweep's replay kernel
-(never a result); and the worker-affinity caches make a sweep decode each
-artifact once, observably via ``runner.stats``.
+The load-bearing properties: pipelined and replay-disabled runs are
+bit-identical; a failed capture costs only its sweep's replay kernel
+(never a result); and the worker-affinity bundle cache makes a sweep load
+each artifact once, observably via ``runner.stats``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cpu import replay_vec
 from repro.runner import ParallelRunner, WorkloadJob
 from repro.runner import replaystore
-from repro.runner.parallel import pipelining_enabled
 from repro.runner.supervisor import RetryPolicy
 from repro.trace.workloads import Workload
 
@@ -24,17 +22,10 @@ MIXES = {"thrash": ("mcf", "libq"), "friendly": ("gcc", "calc")}
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Per-test isolation for the process-local replay caches.
-
-    The plane cache is keyed by artifact *content* (not path), so a
-    previous test capturing the same identity would otherwise pre-warm it
-    and skew the hit/miss assertions.
-    """
-    replay_vec._PLANE_CACHE.clear()
+    """Per-test isolation for the process-local replay caches."""
     replaystore._BUNDLES.clear()
     replaystore.clear_replay_manifest()
     yield
-    replay_vec._PLANE_CACHE.clear()
     replaystore._BUNDLES.clear()
     replaystore.clear_replay_manifest()
 
@@ -60,35 +51,18 @@ def _run(jobs, *, n=1, retry=None):
     return results, runner
 
 
-class TestPipelineSwitch:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_PIPELINE", raising=False)
-        assert pipelining_enabled()
-        monkeypatch.setenv("REPRO_NO_PIPELINE", "0")
-        assert pipelining_enabled()
-
-    def test_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_PIPELINE", "1")
-        assert not pipelining_enabled()
-
-
 class TestPipelinedEquivalence:
-    def test_pipelined_matches_barrier_and_fused(self, tiny_config, monkeypatch):
+    def test_pipelined_matches_fused(self, tiny_config, monkeypatch):
         jobs = _sweep(tiny_config, ("lru", "adapt"), mixes=("thrash", "friendly"))
 
-        monkeypatch.delenv("REPRO_NO_PIPELINE", raising=False)
         pipelined, runner = _run(jobs)
         assert runner.stats["executed"] == len(jobs)
         assert runner.stats["failed"] == 0
 
-        monkeypatch.setenv("REPRO_NO_PIPELINE", "1")
-        barrier, _ = _run(jobs)
-
-        monkeypatch.delenv("REPRO_NO_PIPELINE", raising=False)
         monkeypatch.setenv("REPRO_NO_REPLAY", "1")
         fused, _ = _run(jobs)
 
-        assert pipelined == barrier == fused
+        assert pipelined == fused
 
     @pytest.mark.slow
     def test_pool_run_matches_inline(self, tiny_config):
@@ -139,33 +113,19 @@ class TestCaptureFailureDegradation:
 
 
 class TestAffinityCaches:
-    def test_sweep_decodes_each_artifact_once(self, tiny_config, monkeypatch):
-        # Inline run of an 8-policy sweep on the array-native replay
-        # kernel: one artifact, so one bundle load and one plane decode;
-        # every other policy hits the content-keyed caches.
-        monkeypatch.setenv("REPRO_REPLAY_VEC", "numpy")
+    def test_sweep_loads_each_artifact_once(self, tiny_config):
+        # Inline run of an 8-policy sweep on the replay kernel: one
+        # artifact, so one bundle load; every other policy hits the
+        # per-process bundle cache.
         policies = ("lru", "ship", "adapt", "srrip", "brrip", "dip", "eaf", "lip")
         jobs = _sweep(tiny_config, policies)
         results, runner = _run(jobs)
         assert all(result is not None for result in results)
         assert runner.stats["executed"] == len(jobs)
         assert runner.stats["bundle_loads"] == 1
-        assert runner.stats["plane_misses"] == 1
-        assert runner.stats["plane_hits"] == len(jobs) - 1
 
-    def test_two_sweeps_two_decodes(self, tiny_config, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_VEC", "numpy")
+    def test_two_sweeps_two_loads(self, tiny_config):
         jobs = _sweep(tiny_config, ("lru", "ship"), mixes=("thrash", "friendly"))
         results, runner = _run(jobs)
         assert all(result is not None for result in results)
         assert runner.stats["bundle_loads"] == 2
-        assert runner.stats["plane_misses"] == 2
-        assert runner.stats["plane_hits"] == 2
-
-    def test_plane_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANE_CACHE", "2")
-        assert replay_vec.plane_cache_limit() == 2
-        monkeypatch.setenv("REPRO_PLANE_CACHE", "garbage")
-        assert replay_vec.plane_cache_limit() == 8
-        monkeypatch.delenv("REPRO_PLANE_CACHE")
-        assert replay_vec.plane_cache_limit() == 8

@@ -158,35 +158,6 @@ class TestInlineScheduling:
         }
 
 
-class TestMapResilient:
-    def test_exceptions_cost_one_none_entry(self):
-        supervisor = Supervisor(workers=2, policy=FAST)
-        try:
-            results = supervisor.map_resilient(
-                _map_probe, ["ok-1", "bad", "ok-2"]
-            )
-        finally:
-            supervisor.shutdown(cancel=True)
-        assert results == ["OK-1", None, "OK-2"]
-
-    def test_small_batches_run_inline(self):
-        supervisor = Supervisor(workers=2, policy=FAST)
-        try:
-            assert supervisor.map_resilient(_map_probe, ["solo"]) == ["SOLO"]
-        finally:
-            supervisor.shutdown(cancel=True)
-
-    def test_degraded_supervisor_runs_inline(self):
-        supervisor = Supervisor(workers=1, policy=FAST)
-        assert supervisor.map_resilient(_map_probe, ["x", "y"]) == ["X", "Y"]
-
-
-def _map_probe(task):
-    if task == "bad":
-        raise ValueError("injected")
-    return task.upper()
-
-
 def _pid_echo(task):
     key, job, attempt = task
     return {"value": os.getpid()}
