@@ -105,6 +105,136 @@ class TestKernelDifferential:
         assert not problems, "\n".join(problems)
 
 
+#: Keys of a golden record that a ``finalize=False`` replay keeps exact:
+#: the snapshots and everything on the LLC side of the private levels.
+#: The private caches, prefetchers and sources are deliberately left at
+#: their pristine pre-run state, so their keys are excluded.
+LLC_SIDE_KEYS = (
+    "snapshots",
+    "ipc",
+    "llc_mpki",
+    "llc_stats",
+    "llc_occupancy",
+    "llc_content_digest",
+    "intervals_completed",
+    "engine_now",
+    "policy_describe",
+    "dram",
+    "banks",
+    "mshr",
+)
+
+
+@pytest.fixture(scope="module")
+def stored_artifact(tmp_path_factory):
+    """Path of the on-disk capture artifact for one capture identity.
+
+    Capture is policy-blind, so the 42 golden cases share four identities
+    (two workloads x two platforms) per slack; each is captured and saved
+    once, and every test loads its own fresh bundle from the file.
+    """
+    from repro.golden import GOLDEN_PLATFORMS, MASTER_SEED, QUOTA, WARMUP
+    from repro.runner.replaystore import save_bundle
+
+    root = tmp_path_factory.mktemp("artifacts")
+    paths: dict[tuple, Path] = {}
+
+    def _path(benchmarks, platform, slack=None):
+        key = (tuple(benchmarks), platform, slack)
+        if key not in paths:
+            from dataclasses import replace
+
+            from repro.cpu.capture import capture_workload
+
+            config = replace(golden_config(), **GOLDEN_PLATFORMS[platform])
+            bundle = capture_workload(
+                tuple(benchmarks), config, QUOTA, WARMUP, MASTER_SEED, slack=slack
+            )
+            path = root / f"replay-{len(paths)}.npz"
+            save_bundle(bundle, path)
+            paths[key] = path
+        return paths[key]
+
+    return _path
+
+
+def _replay_loaded(policy, benchmarks, platform, path, monkeypatch, finalize=True):
+    """``run_case(kernel="replay")`` fed the bundle loaded from *path*.
+
+    Returns the record and the bundle, so callers can inspect what the
+    replay appended to it.
+    """
+    from functools import partial
+
+    from repro.cpu import capture, replay
+    from repro.runner.replaystore import load_bundle
+
+    bundle = load_bundle(path)
+    assert bundle is not None, f"artifact {path} failed to load"
+    monkeypatch.setattr(capture, "capture_workload", lambda *a, **k: bundle)
+    if not finalize:
+        monkeypatch.setattr(
+            replay, "run_replay", partial(replay.run_replay, finalize=False)
+        )
+    record = run_case(policy, benchmarks, platform=platform, kernel="replay")
+    return record, bundle
+
+
+@pytest.mark.parametrize(
+    ("policy", "workload", "benchmarks", "platform"), CASES, ids=CASE_IDS
+)
+class TestStoredArtifactReplay:
+    """Sweep workers never replay the bundle they captured: they load it
+    back from its ``.npz`` artifact.  These pin that the on-disk format
+    (tapes plus JSON-serialised private-level checkpoints of every policy
+    and prefetcher) carries everything the replay kernel needs."""
+
+    def test_stored_artifact_replay_equals_fast(
+        self, policy, workload, benchmarks, platform, stored_artifact, monkeypatch
+    ):
+        fast = run_case(policy, benchmarks, platform=platform)
+        replayed, _ = _replay_loaded(
+            policy, benchmarks, platform,
+            stored_artifact(benchmarks, platform), monkeypatch,
+        )
+        problems = compare_records(fast, replayed)
+        assert not problems, "\n".join(problems)
+
+    def test_sweep_replay_keeps_llc_side_exact(
+        self, policy, workload, benchmarks, platform, stored_artifact, monkeypatch
+    ):
+        """The exact call a sweep job makes: a loaded artifact replayed
+        with ``finalize=False``."""
+        fast = run_case(policy, benchmarks, platform=platform)
+        replayed, _ = _replay_loaded(
+            policy, benchmarks, platform,
+            stored_artifact(benchmarks, platform), monkeypatch, finalize=False,
+        )
+        problems = compare_records(
+            {k: fast[k] for k in LLC_SIDE_KEYS},
+            {k: replayed[k] for k in LLC_SIDE_KEYS},
+        )
+        assert not problems, "\n".join(problems)
+        # The skipped reconstruction leaves the private levels pristine.
+        for stats in replayed["l1_stats"] + replayed["l2_stats"]:
+            assert stats == replayed["l1_stats"][0]
+        assert replayed["l1_stats"] != fast["l1_stats"]
+
+    def test_zero_slack_live_tail_equals_fast(
+        self, policy, workload, benchmarks, platform, stored_artifact, monkeypatch
+    ):
+        """With no over-provisioning every core that finishes early
+        outruns its tape, so the replay must continue it live."""
+        fast = run_case(policy, benchmarks, platform=platform)
+        replayed, bundle = _replay_loaded(
+            policy, benchmarks, platform,
+            stored_artifact(benchmarks, platform, slack=0.0), monkeypatch,
+        )
+        problems = compare_records(fast, replayed)
+        assert not problems, "\n".join(problems)
+        assert any(t.length > bundle.meta["length"] for t in bundle.tapes)
+
+
 #: One policy per inline family, matching the prefetch-platform pinning
 #: rationale: the replay event path is policy-independent beyond the hook
 #: dispatch, so this subset covers every dispatch mode per core count.
