@@ -34,6 +34,8 @@ statement, which the golden differential suite machine-checks.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.cache.prefetch import StrideEntry
@@ -67,7 +69,15 @@ _TARGET_CHECKPOINTS = 24
 
 
 class CoreTape:
-    """One core's captured stream: steps, events, checkpoints, markers."""
+    """One core's captured stream: steps, events, checkpoints, markers.
+
+    The streams stay in typed buffers from recording to replay: ``steps``
+    and ``ev_kind`` are ``bytearray`` (1 B per entry), ``ev_step``,
+    ``ev_addr`` and ``ev_pc`` are ``array("q")`` (8 B per entry), so an
+    LLC event costs 25 B in memory.  All five grow in place on live
+    extension, which is why no buffer view may outlive a method call: a
+    buffer that is exporting a view refuses to resize.
+    """
 
     __slots__ = (
         "steps",
@@ -84,10 +94,10 @@ class CoreTape:
 
     def __init__(self) -> None:
         self.steps = bytearray()
-        self.ev_step: list[int] = []
-        self.ev_kind: list[int] = []
-        self.ev_addr: list[int] = []
-        self.ev_pc: list[int] = []
+        self.ev_step = array("q")
+        self.ev_kind = bytearray()
+        self.ev_addr = array("q")
+        self.ev_pc = array("q")
         self.checkpoints: list[dict] = []
         self.baseline: dict | None = None
         self.finish: dict | None = None
@@ -97,15 +107,28 @@ class CoreTape:
         self.live_sim: PrivateCoreSim | None = None
 
     def events_array(self) -> np.ndarray:
+        # Each np.frombuffer view is a temporary dropped right after its
+        # copy into ``out``, so the tape's buffers stay resizable.
         out = np.empty(len(self.ev_step), dtype=EVENT_DTYPE)
-        out["step"] = self.ev_step
-        out["kind"] = self.ev_kind
-        out["addr"] = self.ev_addr
-        out["pc"] = self.ev_pc
+        out["step"] = np.frombuffer(self.ev_step, dtype=np.int64)
+        out["kind"] = np.frombuffer(self.ev_kind, dtype=np.uint8)
+        out["addr"] = np.frombuffer(self.ev_addr, dtype=np.int64)
+        out["pc"] = np.frombuffer(self.ev_pc, dtype=np.int64)
         return out
 
     def steps_array(self) -> np.ndarray:
         return np.frombuffer(bytes(self.steps), dtype=np.uint8)
+
+    @classmethod
+    def from_arrays(cls, steps: np.ndarray, events: np.ndarray) -> CoreTape:
+        """A tape whose streams copy :meth:`steps_array`/:meth:`events_array` output."""
+        tape = cls()
+        tape.steps = bytearray(steps.tobytes())
+        tape.ev_step = array("q", events["step"].astype(np.int64).tobytes())
+        tape.ev_kind = bytearray(events["kind"].tobytes())
+        tape.ev_addr = array("q", events["addr"].astype(np.int64).tobytes())
+        tape.ev_pc = array("q", events["pc"].astype(np.int64).tobytes())
+        return tape
 
 
 class CaptureBundle:

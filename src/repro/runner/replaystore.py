@@ -61,8 +61,9 @@ def replay_key(identity: tuple, slack: float) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:_KEY_LEN]
 
 
-def save_bundle(bundle: CaptureBundle, path: Path) -> None:
+def save_bundle(bundle: CaptureBundle, path: Path | str) -> None:
     """Atomically write *bundle* as one ``.npz`` (arrays + JSON meta blob)."""
+    path = Path(path)
     blob = {
         "meta": bundle.meta,
         "tapes": [
@@ -147,12 +148,7 @@ def load_bundle(path: Path | str) -> CaptureBundle | None:
                 events = npz[f"events_{i}"]
                 if events.dtype != EVENT_DTYPE:
                     return None
-                tape = CoreTape()
-                tape.steps = bytearray(npz[f"steps_{i}"].tobytes())
-                tape.ev_step = events["step"].tolist()
-                tape.ev_kind = events["kind"].tolist()
-                tape.ev_addr = events["addr"].tolist()
-                tape.ev_pc = events["pc"].tolist()
+                tape = CoreTape.from_arrays(npz[f"steps_{i}"], events)
                 tape.checkpoints = rec["checkpoints"]
                 tape.baseline = rec["baseline"]
                 tape.finish = rec["finish"]
@@ -217,8 +213,9 @@ class ReplayStore:
 _ACTIVE: dict[tuple, str] = {}
 #: Path -> loaded bundle (LRU), so repeated installs/jobs reuse one load
 #: (and share any live tape extensions within the process).  Bounded: a
-#: loaded bundle expands its arrays into Python lists, so an unbounded
-#: cache would grow a long-lived worker by one platform per sweep.
+#: loaded bundle holds its typed tapes (25 B per LLC event) plus its
+#: checkpoints as Python objects, so an unbounded cache would grow a
+#: long-lived worker by one platform per sweep.
 _BUNDLES: "OrderedDict[str, CaptureBundle | None]" = OrderedDict()
 _BUNDLE_CACHE_LIMIT = 4
 

@@ -4,11 +4,14 @@ and the runner's capture-job scheduling."""
 
 from __future__ import annotations
 
+import tracemalloc
+from array import array
+
 import numpy as np
 import pytest
 
 from repro.cpu import replay as replay_mod
-from repro.cpu.capture import CoreTape, capture_workload
+from repro.cpu.capture import CoreTape, capture_workload, extend_tape
 from repro.cpu.engine import MulticoreEngine
 from repro.cpu.replay import run_replay
 from repro.golden import QUOTA, WARMUP, golden_config
@@ -219,6 +222,36 @@ class TestArtifactStore:
         expected = _engine("eaf").run()
         assert run_replay(_engine("eaf"), loaded) == expected
 
+    def test_save_load_save_is_byte_identical(self, bundle, tmp_path):
+        first = tmp_path / "replay-a.npz"
+        second = tmp_path / "replay-b.npz"
+        save_bundle(bundle, first)
+        save_bundle(load_bundle(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_loaded_tape_extends_live_after_export(self, tmp_path):
+        lean = capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0, slack=0.0)
+        path = tmp_path / "replay-lean.npz"
+        save_bundle(lean, path)
+        loaded = load_bundle(path)
+        tape = loaded.tapes[0]
+        before = tape.events_array()
+        length, n_events = tape.length, len(tape.ev_step)
+        extend_tape(loaded, 0, loaded.meta["chunk"])
+        assert tape.length == length + loaded.meta["chunk"]
+        assert len(tape.ev_step) > n_events
+        assert len(tape.steps) == tape.length
+        # The earlier export is a copy, untouched by the extension.
+        assert len(before) == n_events
+        # And a replay over the exported-then-extended bundle stays exact.
+        assert run_replay(_engine("dip"), loaded) == _engine("dip").run()
+
+    def test_save_bundle_accepts_str_path(self, bundle, tmp_path):
+        path = tmp_path / "nested" / "replay-s.npz"
+        save_bundle(bundle, str(path))
+        loaded = load_bundle(str(path))
+        assert loaded is not None and loaded.meta == bundle.meta
+
     def test_corrupt_artifact_loads_as_none(self, tmp_path):
         path = tmp_path / "replay-bad.npz"
         path.write_bytes(b"not an npz")
@@ -292,17 +325,63 @@ class TestRunnerIntegration:
         assert not list((tmp_path / "results" / "traces").glob("replay-*.npz"))
 
 
+def _assert_typed(tape):
+    """Every stream of *tape* is a typed buffer, never a Python list."""
+    assert type(tape.steps) is bytearray
+    assert type(tape.ev_kind) is bytearray
+    for field in (tape.ev_step, tape.ev_addr, tape.ev_pc):
+        assert type(field) is array and field.typecode == "q"
+
+
 class TestTapeArrays:
     def test_arrays_round_trip_native_types(self):
         tape = CoreTape()
         tape.steps.extend([0, 1, 2])
         tape.ev_step.extend([2, 2])
         tape.ev_kind.extend([3, 5])
-        tape.ev_addr.extend([123, 0])
+        tape.ev_addr.extend([123, 2**40])
         tape.ev_pc.extend([7, 0])
         events = tape.events_array()
         assert events["step"].tolist() == [2, 2]
         assert events["kind"].tolist() == [3, 5]
+        assert events["addr"].tolist() == [123, 2**40]
         steps = tape.steps_array()
         assert steps.dtype == np.uint8
         assert steps.tolist() == [0, 1, 2]
+        copy = CoreTape.from_arrays(steps, events)
+        _assert_typed(copy)
+        assert copy.steps == tape.steps
+        assert copy.ev_step == tape.ev_step and copy.ev_kind == tape.ev_kind
+        assert copy.ev_addr == tape.ev_addr and copy.ev_pc == tape.ev_pc
+
+    def test_captured_extended_and_loaded_tapes_are_typed(self, tmp_path):
+        lean = capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0, slack=0.0)
+        for tape in lean.tapes:
+            _assert_typed(tape)
+        assert run_replay(_engine("dip"), lean) is not None
+        assert any(tape.length > lean.meta["length"] for tape in lean.tapes)
+        for tape in lean.tapes:
+            _assert_typed(tape)
+        path = tmp_path / "replay-lean.npz"
+        save_bundle(lean, path)
+        for tape in load_bundle(path).tapes:
+            _assert_typed(tape)
+
+    def test_decoded_bundle_costs_under_40_bytes_per_event(self, tmp_path):
+        # Large enough that per-bundle fixed costs (meta, objects) vanish
+        # against the per-event tapes.  Python-int lists cost ~120 B/event.
+        bundle = capture_workload(BENCHMARKS, golden_config(), 8000, 2000, 0)
+        path = tmp_path / "replay-big.npz"
+        save_bundle(bundle, path)
+        del bundle
+        tracemalloc.start()
+        try:
+            loaded = load_bundle(path)
+            for tape in loaded.tapes:
+                tape.checkpoints = []
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        events = sum(len(tape.ev_step) for tape in loaded.tapes)
+        assert events > 10_000
+        assert held / events <= 40
