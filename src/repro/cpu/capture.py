@@ -606,24 +606,15 @@ class PrivateCoreSim:
 # -- capture drivers -----------------------------------------------------------
 
 
-def replay_slack() -> float:
-    """Captured-stream over-provisioning beyond the quota-completion index.
-
-    Cores that finish early keep running until the slowest core completes,
-    so each stream is captured ``1 + slack`` times the per-core access
-    budget; a replay that outruns a stream switches to live private-level
-    continuation (bit-identical, and the extension is appended to the
-    bundle so later replays of the same bundle reuse it).  Typical mixes
-    overrun by a few percent, so the default stays lean;
-    ``REPRO_REPLAY_SLACK`` tunes it.
-    """
-    import os
-
-    try:
-        value = float(os.environ.get("REPRO_REPLAY_SLACK", "0.25"))
-    except ValueError:
-        value = 0.25
-    return max(0.0, value)
+#: Captured-stream over-provisioning beyond the quota-completion index.
+#: Cores that finish early keep running until the slowest core completes,
+#: so each stream is captured ``1 + slack`` times the per-core access
+#: budget; a replay that outruns a stream switches to live private-level
+#: continuation (bit-identical, and the extension is appended to the
+#: bundle so later replays of the same bundle reuse it).  Typical mixes
+#: overrun by a few percent, so the slack stays lean.  It is part of the
+#: replay key.
+REPLAY_SLACK = 0.25
 
 
 def _fresh_private_level(meta: dict, core_id: int):
@@ -685,15 +676,16 @@ def capture_workload(
     """Capture the private-level streams of one (workload, platform, seed).
 
     Builds fresh sources and private levels (independent of any engine),
-    simulates each core ``(quota + warmup) * (1 + slack)`` accesses, and
-    returns the bundle the replay kernel consumes.  Sources go through
+    simulates each core ``(quota + warmup) * (1 + slack)`` accesses
+    (*slack* defaults to :data:`REPLAY_SLACK`), and returns the bundle
+    the replay kernel consumes.  Sources go through
     :func:`repro.trace.shared.make_source`, so shared trace buffers are
     replayed zero-copy when registered.
     """
     from repro.trace.shared import make_source
 
     if slack is None:
-        slack = replay_slack()
+        slack = REPLAY_SLACK
     finish = quota + warmup
     n_cap = finish + int(round(slack * finish))
     interval = max(TraceSource.CHUNK, -(-n_cap // _TARGET_CHECKPOINTS))

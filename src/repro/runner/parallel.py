@@ -24,10 +24,9 @@ fast path for single-job batches.
 Policy sweeps additionally run a once-per-platform private-level
 *capture* pass (:mod:`repro.runner.replaystore`) so every swept job can
 execute on the LLC-only replay kernel.  Captures and sim jobs share one
-dependency-edged queue: each sweep's replays are submitted the moment
-*its* capture's manifest entry lands, so a slow capture never stalls
-unrelated sweeps, and sticky affinity routing keeps a sweep's capture
-and replays on one worker (a warm bundle cache).
+dependency-edged queue on one process pool: each sweep's replays are
+released the moment *its* capture's manifest entry lands, so a slow
+capture never stalls unrelated sweeps.
 
 Execution is *supervised* (:mod:`repro.runner.supervisor`): every miss
 is submitted as its own future and collected in completion order, so a
@@ -204,8 +203,7 @@ class ParallelRunner:
         #: Lifetime counters: ``store_hits`` results re-read from disk,
         #: ``executed`` simulations completed (counted per job, as each
         #: finishes), ``failed`` jobs quarantined after retries, the
-        #: supervisor's ``retried``/``timeouts``/``pool_rebuilds`` and
-        #: sticky-routing ``sticky_hits``/``sticky_misses``, plus
+        #: supervisor's ``retried``/``timeouts``/``pool_rebuilds``, plus
         #: ``bundle_loads`` (replay artifacts read from disk), aggregated
         #: across workers.
         self.stats = {
@@ -215,8 +213,6 @@ class ParallelRunner:
             "retried": 0,
             "timeouts": 0,
             "pool_rebuilds": 0,
-            "sticky_hits": 0,
-            "sticky_misses": 0,
             "bundle_loads": 0,
         }
         #: Every quarantined job over the runner's lifetime, and the
@@ -451,28 +447,17 @@ class ParallelRunner:
         outcomes are folded into the growing replay manifest here and
         never surface to the caller; only sim outcomes are yielded.  A
         batch without a sweep (empty *plan*) is just its sim jobs.
-
-        Both job families carry the capture artifact's path as their
-        affinity token, so the supervisor's sticky routing lands a
-        sweep's capture *and* its replays on one worker — the worker that
-        loaded the bundle keeps serving it (``bundle_loads`` in
-        :attr:`stats` makes the reuse observable).
         """
-        from repro.cpu.capture import replay_slack
+        from repro.cpu.capture import REPLAY_SLACK
         from repro.runner.replaystore import replay_key
         from repro.sim.build import capture_identity
 
-        slack = replay_slack()
         capture_jobs: list[tuple[str, dict]] = []
-        routes: dict[tuple, tuple[str, str]] = {}
-        affinity: dict[str, str] = {}
+        routes: dict[tuple, str] = {}
         for identity, payload in plan.items():
-            key = replay_key(identity, slack)
-            ckey = f"capture:{key}"
-            token = str(ReplayStore(payload["root"]).path_for(key))
-            routes[identity] = (ckey, token)
+            ckey = f"capture:{replay_key(identity, REPLAY_SLACK)}"
+            routes[identity] = ckey
             capture_jobs.append((ckey, payload))
-            affinity[ckey] = token
         dependencies: dict[str, str] = {}
         for key, job in misses:
             if job.kind != "workload":
@@ -480,10 +465,9 @@ class ParallelRunner:
             identity = capture_identity(
                 job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
             )
-            route = routes.get(identity)
-            if route is not None:
-                dependencies[key] = route[0]
-                affinity[key] = route[1]
+            ckey = routes.get(identity)
+            if ckey is not None:
+                dependencies[key] = ckey
         capture_keys = {ckey for ckey, _ in capture_jobs}
         replay_manifest: list[dict] = []
 
@@ -515,7 +499,6 @@ class ParallelRunner:
             inline_fn=inline_fn,
             decode=decode,
             dependencies=dependencies,
-            affinity=affinity,
         ):
             if key in capture_keys:
                 # A FailureRecord or None here only costs the sweep its

@@ -183,12 +183,11 @@ class ReplayStore:
         master_seed: int,
     ) -> dict:
         """Capture (or find) one artifact; returns its manifest entry."""
-        from repro.cpu.capture import capture_workload, replay_slack
+        from repro.cpu.capture import REPLAY_SLACK, capture_workload
         from repro.sim.build import capture_identity
 
         identity = capture_identity(benchmarks, config, quota, warmup, master_seed)
-        slack = replay_slack()
-        key = replay_key(identity, slack)
+        key = replay_key(identity, REPLAY_SLACK)
         path = self.path_for(key)
         if path.is_file() and verify_artifact(path) is False:
             # Damage found before reuse: preserve the evidence out of the
@@ -198,7 +197,7 @@ class ReplayStore:
             self.stats["reused"] += 1
         else:
             bundle = capture_workload(
-                tuple(benchmarks), config, quota, warmup, master_seed, slack
+                tuple(benchmarks), config, quota, warmup, master_seed
             )
             save_bundle(bundle, path)
             write_checksum(path)
@@ -211,18 +210,19 @@ class ReplayStore:
 
 #: Identity tuple -> artifact path, installed from a manifest.
 _ACTIVE: dict[tuple, str] = {}
-#: Path -> loaded bundle (LRU), so repeated installs/jobs reuse one load
-#: (and share any live tape extensions within the process).  Bounded: a
-#: loaded bundle holds its typed tapes (25 B per LLC event) plus its
-#: checkpoints as Python objects, so an unbounded cache would grow a
-#: long-lived worker by one platform per sweep.
+#: Path -> loaded bundle (LRU), so every job of a sweep that lands on a
+#: worker reuses that worker's one load (and shares any live tape
+#: extensions within the process).  Bounded: a loaded bundle holds its
+#: typed tapes (25 B per LLC event) plus its checkpoints as Python
+#: objects, so an unbounded cache would grow a long-lived worker by one
+#: platform per sweep.
 _BUNDLES: "OrderedDict[str, CaptureBundle | None]" = OrderedDict()
 _BUNDLE_CACHE_LIMIT = 4
 
 #: Monotonic per-process counter of artifact loads from disk; the parallel
 #: runner ships per-task deltas back and aggregates them into
-#: ``runner.stats`` — under sticky affinity routing a sweep should load
-#: each artifact once per worker, not once per job.
+#: ``runner.stats`` — a sweep should load each artifact at most once per
+#: worker, not once per job.
 REGISTRY_STATS = {"bundle_loads": 0}
 
 

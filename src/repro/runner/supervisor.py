@@ -22,19 +22,16 @@ explicit and bounded:
   supervisor degrades to inline execution in the parent, which cannot
   lose the batch.
 
-Two scheduling refinements serve the pipelined capture→replay flow:
+Every batch runs on one ``ProcessPoolExecutor`` with at most ``workers``
+jobs in flight; the rest wait in the supervisor's own queue, so a job's
+wall-clock deadline only ever counts time it spends on a worker.
 
-* **dependency edges** — :meth:`Supervisor.run_jobs` accepts a
-  ``dependencies`` map (job key → key of another job in the batch); a
-  dependent job is withheld until its dependency's outcome has been
-  *yielded*, success or quarantine alike (edges order work, they never
-  veto it), so the caller can fold the dependency's product into the
-  dependent's payload before it is built;
-* **sticky affinity routing** — with an ``affinity`` map (job key →
-  token) and two or more workers, the supervisor runs one single-worker
-  pool per slot and prefers the slot that last ran a token unless it is
-  overloaded, so process-local caches keyed by that token (loaded
-  replay bundles) stay hot across a sweep.
+The pipelined capture→replay flow is served by **dependency edges**:
+:meth:`Supervisor.run_jobs` accepts a ``dependencies`` map (job key →
+key of another job in the batch); a dependent job is withheld until its
+dependency's outcome has been *yielded*, success or quarantine alike
+(edges order work, they never veto it), so the caller can fold the
+dependency's product into the dependent's payload before it is built.
 
 Workers need no special re-initialisation after a rebuild: the shared
 trace and replay manifests ride along inside every task payload, so a
@@ -57,8 +54,8 @@ from dataclasses import dataclass, replace
 
 from repro.runner import faults
 
-#: Poll interval while waiting for queued futures to start running (their
-#: wall-clock deadline starts at first observed execution, not at submit).
+#: Poll interval while waiting for submitted futures to start running
+#: (their wall-clock deadline starts at first observed execution).
 _DEADLINE_POLL = 0.05
 #: Longest idle sleep while only backoff timers are pending.
 _IDLE_SLEEP = 0.25
@@ -148,15 +145,6 @@ class FailureRecord:
         )
 
 
-class _Retry:
-    """Internal outcome: requeue after *delay* seconds."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float) -> None:
-        self.delay = delay
-
-
 class Supervisor:
     """One batch's pool owner and failure-handling scheduler.
 
@@ -172,18 +160,8 @@ class Supervisor:
         self.workers = max(0, workers)
         self.policy = policy or RetryPolicy.from_env()
         self._pool: ProcessPoolExecutor | None = None
-        #: Sticky mode: one single-worker pool per slot index.
-        self._pools: dict[int, ProcessPoolExecutor] = {}
-        #: Affinity token -> the slot that last ran it.
-        self._affinity_home: dict[object, int] = {}
         self._degraded = self.workers <= 1
-        self.stats = {
-            "retried": 0,
-            "timeouts": 0,
-            "pool_rebuilds": 0,
-            "sticky_hits": 0,
-            "sticky_misses": 0,
-        }
+        self.stats = {"retried": 0, "timeouts": 0, "pool_rebuilds": 0}
 
     # -- pool lifecycle ----------------------------------------------------------
 
@@ -197,37 +175,11 @@ class Supervisor:
         return self._pool
 
     def shutdown(self, *, cancel: bool = False) -> None:
-        """Release every pool; *cancel* drops queued work instead of
+        """Release the pool; *cancel* drops queued work instead of
         draining it (the error path must not block behind a failing batch)."""
-        pools = [self._pool] if self._pool is not None else []
-        pools.extend(self._pools.values())
-        self._pool = None
-        self._pools.clear()
-        for pool in pools:
-            pool.shutdown(wait=not cancel, cancel_futures=cancel)
-
-    def _pool_at(self, idx: int) -> ProcessPoolExecutor:
-        """The executor for slot *idx* (``-1`` = the shared pool), lazily."""
-        if idx < 0:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return self._pool
-        pool = self._pools.get(idx)
-        if pool is None:
-            pool = self._pools[idx] = ProcessPoolExecutor(max_workers=1)
-        return pool
-
-    def _discard_at(self, idx: int) -> None:
-        """Abandon one pool slot; too many rebuilds degrade to inline."""
-        if idx < 0:
-            pool, self._pool = self._pool, None
-        else:
-            pool = self._pools.pop(idx, None)
+        pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self.stats["pool_rebuilds"] += 1
-        if self.stats["pool_rebuilds"] > self.policy.max_pool_rebuilds:
-            self._degraded = True
+            pool.shutdown(wait=not cancel, cancel_futures=cancel)
 
     # -- supervised job execution ------------------------------------------------
 
@@ -240,7 +192,6 @@ class Supervisor:
         inline_fn: Callable[[str, object], object],
         decode: Callable[[object, object], object],
         dependencies: dict[str, str] | None = None,
-        affinity: dict[str, object] | None = None,
     ) -> Iterator[tuple[str, object, object]]:
         """Execute every ``(key, job)``; yield ``(key, job, outcome)`` in
         completion order, where *outcome* is a decoded result or a
@@ -257,12 +208,9 @@ class Supervisor:
         caller has seen the dependency's product.  Edges pointing outside
         the batch (or at the job itself) are ignored.
 
-        *affinity* maps job keys to routing tokens.  With two or more
-        workers the supervisor then runs one single-worker pool per slot
-        and prefers the slot that last ran a token unless that slot holds
-        more than one job over the lightest (``sticky_hits`` /
-        ``sticky_misses`` in :attr:`stats` count the routing outcomes),
-        keeping per-process caches keyed by the token warm across a sweep.
+        At most :attr:`workers` jobs are submitted at a time; the pool is
+        topped up from the queue before outcomes are yielded, so no worker
+        idles while the caller consumes them.
         """
         keys = {key for key, _ in misses}
         deps = {
@@ -283,9 +231,18 @@ class Supervisor:
             for entry in blocked.pop(done_key, ()):
                 queue.append(entry)
 
-        sticky = bool(affinity) and self.workers >= 2
+        def fail(key: str, job: object, attempt: int, kind: str, error: str) -> None:
+            """Schedule a failed attempt's retry, or ready its quarantine."""
+            if attempt < self.policy.max_retries:
+                self.stats["retried"] += 1
+                delay = self.policy.backoff(key, attempt)
+                waiting.append((time.monotonic() + delay, key, job, attempt + 1))
+            else:
+                record = FailureRecord(key=key, kind=kind, attempts=attempt + 1, error=error)
+                ready.append((key, job, record))
+
         waiting: list[tuple[float, str, object, int]] = []
-        # future -> [key, job, attempt, deadline, pool slot]
+        # future -> [key, job, attempt, deadline]
         active: dict[Future, list] = {}
         while queue or waiting or active or blocked:
             if blocked and not (queue or waiting or active):
@@ -303,111 +260,63 @@ class Supervisor:
                     waiting = [entry for entry in waiting if entry[0] > now]
                     for _, key, job, attempt in due:
                         queue.append((key, job, attempt))
-            if self._degraded or self.workers <= 1:
+            ready: list[tuple[str, object, object]] = []
+            if self._degraded:
                 # Inline (or degraded) mode: one due job at a time, same
                 # retry/quarantine path, no preemption so no timeouts.
                 if queue:
                     key, job, attempt = queue.popleft()
-                    outcome = self._inline_attempt(inline_fn, key, job, attempt)
-                    if isinstance(outcome, _Retry):
-                        waiting.append(
-                            (time.monotonic() + outcome.delay, key, job, attempt + 1)
-                        )
-                    else:
-                        yield key, job, outcome
-                        release(key)
+                    try:
+                        faults.maybe_fail(key, attempt, allow_exit=False)
+                        ready.append((key, job, inline_fn(key, job)))
+                    except Exception as exc:
+                        fail(key, job, attempt, "crash", repr(exc))
                 elif waiting:
                     self._sleep_until(min(entry[0] for entry in waiting))
-                continue
-            loads: dict[int, int] = {}
-            for flight in active.values():
-                loads[flight[4]] = loads.get(flight[4], 0) + 1
-            broken_slot: int | None = None
-            while queue:
-                key, job, attempt = queue.popleft()
-                slot = self._route(key, affinity, loads) if sticky else -1
-                try:
-                    future = self._pool_at(slot).submit(
-                        worker_fn, task_for(key, job, attempt)
-                    )
-                except BrokenProcessPool:
-                    queue.appendleft((key, job, attempt))
-                    broken_slot = slot
-                    break
-                active[future] = [key, job, attempt, None, slot]
-                loads[slot] = loads.get(slot, 0) + 1
-            if broken_slot is not None:
-                self._requeue_in_flight(
-                    active, queue, charge_attempt=True, slot=broken_slot
-                )
-                continue
-            if not active:
-                if waiting:
-                    self._sleep_until(min(entry[0] for entry in waiting))
-                continue
-            timeout = self._wait_timeout(active, waiting)
-            done, _ = wait(set(active), timeout=timeout, return_when=FIRST_COMPLETED)
-            broken_slots: set[int] = set()
-            for future in done:
-                key, job, attempt, _, slot = active.pop(future)
-                exc = future.exception()
-                if exc is None:
-                    yield key, job, decode(job, future.result())
-                    release(key)
+            else:
+                self._top_up(active, queue, worker_fn, task_for)
+                if not active:
+                    if waiting:
+                        self._sleep_until(min(entry[0] for entry in waiting))
                     continue
-                if isinstance(exc, BrokenProcessPool):
-                    broken_slots.add(slot)
-                    queue.append((key, job, attempt + 1))
-                    continue
-                outcome = self._after_failure(key, attempt, "crash", repr(exc))
-                if isinstance(outcome, _Retry):
-                    waiting.append(
-                        (time.monotonic() + outcome.delay, key, job, attempt + 1)
-                    )
-                else:
-                    yield key, job, outcome
-                    release(key)
-            if broken_slots:
-                for slot in broken_slots:
-                    self._requeue_in_flight(
-                        active, queue, charge_attempt=True, slot=slot
-                    )
-                continue
-            if self.policy.job_timeout is None or not active:
-                continue
-            now = time.monotonic()
-            expired = [
-                future
-                for future, flight in active.items()
-                if flight[3] is not None and now >= flight[3]
-            ]
-            if not expired:
-                continue
-            self.stats["timeouts"] += len(expired)
-            hung_slots: set[int] = set()
-            for future in expired:
-                key, job, attempt, _, slot = active.pop(future)
-                hung_slots.add(slot)
-                future.cancel()
-                outcome = self._after_failure(
-                    key,
-                    attempt,
-                    "timeout",
-                    f"exceeded {self.policy.job_timeout:g}s wall clock",
-                )
-                if isinstance(outcome, _Retry):
-                    waiting.append(
-                        (time.monotonic() + outcome.delay, key, job, attempt + 1)
-                    )
-                else:
-                    yield key, job, outcome
-                    release(key)
-            # A hung worker cannot be reclaimed: abandon its pool, requeue
-            # every other in-flight job there without charging an attempt.
-            for slot in hung_slots:
-                self._requeue_in_flight(
-                    active, queue, charge_attempt=False, slot=slot
-                )
+                timeout = self._wait_timeout(active, waiting)
+                done, _ = wait(set(active), timeout=timeout, return_when=FIRST_COMPLETED)
+                broken = False
+                for future in done:
+                    key, job, attempt, _ = active.pop(future)
+                    exc = future.exception()
+                    if exc is None:
+                        ready.append((key, job, decode(job, future.result())))
+                    elif isinstance(exc, BrokenProcessPool):
+                        broken = True
+                        queue.append((key, job, attempt + 1))
+                    else:
+                        fail(key, job, attempt, "crash", repr(exc))
+                if broken:
+                    self._requeue_in_flight(active, queue, charge_attempt=True)
+                elif self.policy.job_timeout is not None:
+                    now = time.monotonic()
+                    expired = [
+                        future
+                        for future, flight in active.items()
+                        if flight[3] is not None and now >= flight[3]
+                    ]
+                    for future in expired:
+                        key, job, attempt, _ = active.pop(future)
+                        future.cancel()
+                        error = f"exceeded {self.policy.job_timeout:g}s wall clock"
+                        fail(key, job, attempt, "timeout", error)
+                    if expired:
+                        self.stats["timeouts"] += len(expired)
+                        # A hung worker cannot be reclaimed: abandon the
+                        # pool, requeue every other in-flight job without
+                        # charging an attempt.
+                        self._requeue_in_flight(active, queue, charge_attempt=False)
+                # Keep the workers busy while the caller consumes outcomes.
+                self._top_up(active, queue, worker_fn, task_for)
+            for key, job, outcome in ready:
+                yield key, job, outcome
+                release(key)
 
     # -- internals ---------------------------------------------------------------
 
@@ -438,66 +347,49 @@ class Supervisor:
             timeout = soonest if timeout is None else min(timeout, soonest)
         return timeout
 
-    def _route(
-        self, key: str, affinity: dict[str, object], loads: dict[int, int]
-    ) -> int:
-        """Pick a single-worker pool slot for *key* under sticky routing.
-
-        The token's home slot wins while it holds at most one job more
-        than the lightest slot; past that the job migrates (and the token
-        re-homes), trading cache warmth for load balance.  A job without
-        a token always takes the lightest slot.
-        """
-        token = affinity.get(key)
-        slots = range(self.workers)
-        least = min(slots, key=lambda i: loads.get(i, 0))
-        if token is None:
-            return least
-        home = self._affinity_home.get(token)
-        if home is not None and loads.get(home, 0) <= loads.get(least, 0) + 1:
-            self.stats["sticky_hits"] += 1
-            return home
-        self._affinity_home[token] = least
-        self.stats["sticky_misses"] += 1
-        return least
-
-    def _requeue_in_flight(
-        self, active: dict, queue: deque, *, charge_attempt: bool, slot: int = -1
+    def _top_up(
+        self, active: dict, queue: deque, worker_fn: Callable, task_for: Callable
     ) -> None:
-        """Drain one pool's in-flight jobs back into the queue and rebuild it.
+        """Submit queued jobs until :attr:`workers` are in flight.
+
+        Nothing waits inside the executor, whose call queue marks a
+        future running before a worker picks it up, so a deadline set at
+        the first observed ``running()`` only counts time on a worker.
+        """
+        while queue and len(active) < self.workers:
+            pool = self.pool
+            if pool is None:
+                return
+            key, job, attempt = queue.popleft()
+            try:
+                future = pool.submit(worker_fn, task_for(key, job, attempt))
+            except BrokenProcessPool:
+                queue.appendleft((key, job, attempt))
+                self._requeue_in_flight(active, queue, charge_attempt=True)
+                continue
+            active[future] = [key, job, attempt, None]
+
+    def _requeue_in_flight(self, active: dict, queue: deque, *, charge_attempt: bool) -> None:
+        """Drain the in-flight jobs back into the queue and rebuild the pool.
 
         After ``BrokenProcessPool`` the guilty job cannot be told apart
         from its innocent pool-mates (every in-flight future raises), so
         all are charged an attempt — the guilty job's counter is the one
         that matters for quarantine, and an innocent job's extra attempt
         only changes its backoff.  After a timeout nothing in flight is
-        guilty, so nothing is charged.  Only *slot*'s flights are touched:
-        in sticky mode the other single-worker pools are healthy.
+        guilty, so nothing is charged.  Too many rebuilds degrade the
+        supervisor to inline execution.
         """
-        for future, (key, job, attempt, _, flight_slot) in list(active.items()):
-            if flight_slot != slot:
-                continue
+        for future, (key, job, attempt, _) in active.items():
             future.cancel()
             queue.append((key, job, attempt + 1 if charge_attempt else attempt))
-            del active[future]
-        self._discard_at(slot)
-
-    def _inline_attempt(
-        self, inline_fn: Callable, key: str, job: object, attempt: int
-    ) -> object:
-        try:
-            faults.maybe_fail(key, attempt, allow_exit=False)
-            return inline_fn(key, job)
-        except Exception as exc:
-            return self._after_failure(key, attempt, "crash", repr(exc))
-
-    def _after_failure(
-        self, key: str, attempt: int, kind: str, error: str
-    ) -> _Retry | FailureRecord:
-        if attempt < self.policy.max_retries:
-            self.stats["retried"] += 1
-            return _Retry(self.policy.backoff(key, attempt))
-        return FailureRecord(key=key, kind=kind, attempts=attempt + 1, error=error)
+        active.clear()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        self.stats["pool_rebuilds"] += 1
+        if self.stats["pool_rebuilds"] > self.policy.max_pool_rebuilds:
+            self._degraded = True
 
     @staticmethod
     def _sleep_until(deadline: float) -> None:

@@ -98,8 +98,8 @@ def _referenced(store: ResultStore) -> tuple[int, set[str], set[tuple]]:
     Returns ``(results scanned, trace-buffer file names, replay-capture
     identities)``.  Replay artifacts are matched by the *identity*
     embedded in each file — not by recomputing the content address —
-    because the slack factor is part of the address and may differ
-    between the sweeps that wrote an artifact and the gc environment.
+    because the slack factor is part of the address, and an artifact
+    captured with another slack is still a capture of that identity.
     """
     from repro.runner.parallel import _job_trace_identities
     from repro.sim.build import capture_identity

@@ -264,10 +264,10 @@ class TestArtifactStore:
         config = golden_config()
         entry = store.materialise(BENCHMARKS, config, 200, 50, 0)
         ident = capture_identity(BENCHMARKS, config, 200, 50, 0)
-        from repro.cpu.capture import replay_slack
+        from repro.cpu.capture import REPLAY_SLACK
 
         assert entry["path"] == str(
-            tmp_path / f"replay-{replay_key(ident, replay_slack())}.npz"
+            tmp_path / f"replay-{replay_key(ident, REPLAY_SLACK)}.npz"
         )
         assert store.stats == {"captured": 1, "reused": 0}
         store.materialise(BENCHMARKS, config, 200, 50, 0)

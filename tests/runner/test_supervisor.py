@@ -55,6 +55,12 @@ def _sleep_first(task):
     return {"value": job * 2}
 
 
+def _sleep_one_second(task):
+    key, job, attempt = task
+    time.sleep(1.0)
+    return {"value": job * 2}
+
+
 def _run(supervisor, misses, worker_fn):
     """Drive run_jobs to completion; returns {key: outcome}."""
     outcomes = {}
@@ -133,6 +139,15 @@ class TestPoolScheduling:
         # A hung worker is unreclaimable: the pool was abandoned.
         assert supervisor.stats["pool_rebuilds"] >= 1
 
+    @pytest.mark.slow
+    def test_timeout_clock_skips_time_spent_queued(self):
+        # Three 1 s jobs on two workers: the third waits ~1 s for a free
+        # worker, and that wait must not count against its 1.5 s limit.
+        supervisor = Supervisor(workers=2, policy=RetryPolicy(max_retries=0, job_timeout=1.5))
+        outcomes = _run(supervisor, [("a", 1), ("b", 2), ("c", 3)], _sleep_one_second)
+        assert outcomes == {"a": 2, "b": 4, "c": 6}
+        assert supervisor.stats["timeouts"] == 0
+
 
 class TestInlineScheduling:
     def test_single_worker_runs_inline(self):
@@ -156,11 +171,6 @@ class TestInlineScheduling:
         assert {k: v for k, v in outcomes.items() if k != "a"} == {
             "b": 4, "c": 6, "d": 8,
         }
-
-
-def _pid_echo(task):
-    key, job, attempt = task
-    return {"value": os.getpid()}
 
 
 def _slow_cap(task):
@@ -296,69 +306,6 @@ class TestDependencyEdges:
             dependencies={"a": "b", "b": "a"},
         )
         assert dict(outcomes) == EXPECTED
-
-
-class TestStickyRouting:
-    def test_same_token_lands_on_one_worker(self):
-        # The capture→replay shape: dependency chains stagger each token's
-        # submissions, so the home slot is never overloaded and the whole
-        # chain sticks to the worker that ran its first link.
-        supervisor = Supervisor(workers=2, policy=FAST)
-        misses = [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6)]
-        affinity = {"a": "t1", "b": "t1", "c": "t1", "d": "t2", "e": "t2", "f": "t2"}
-        deps = {"b": "a", "c": "b", "e": "d", "f": "e"}
-        outcomes = dict(
-            _run_ordered(
-                supervisor, misses, _pid_echo, affinity=affinity, dependencies=deps
-            )
-        )
-        t1_pids = {outcomes[k] for k in ("a", "b", "c")}
-        t2_pids = {outcomes[k] for k in ("d", "e", "f")}
-        assert len(t1_pids) == 1 and len(t2_pids) == 1
-        assert t1_pids != t2_pids
-        # First job of each token homes it (miss); the rest stick (hit).
-        assert supervisor.stats["sticky_misses"] == 2
-        assert supervisor.stats["sticky_hits"] == 4
-
-    def test_overloaded_home_migrates(self):
-        # One token for the whole batch would idle the second slot; the
-        # load guard re-homes the token instead.
-        supervisor = Supervisor(workers=2, policy=FAST)
-        misses = [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
-        affinity = {key: "t1" for key, _ in misses}
-        outcomes = dict(
-            _run_ordered(supervisor, misses, _pid_echo, affinity=affinity)
-        )
-        assert len(set(outcomes.values())) == 2  # both slots did work
-        assert supervisor.stats["sticky_misses"] >= 2
-
-    def test_affinity_is_inert_inline(self):
-        supervisor = Supervisor(workers=1, policy=FAST)
-        outcomes = _run_ordered(
-            supervisor, MISSES, _echo, affinity={"a": "t1", "b": "t1"}
-        )
-        assert dict(outcomes) == EXPECTED
-        assert supervisor.stats["sticky_hits"] == 0
-        assert supervisor.stats["sticky_misses"] == 0
-
-    def test_broken_sticky_slot_only_requeues_its_own(self):
-        # A worker death in one single-worker pool must not disturb the
-        # other slots' in-flight jobs.
-        supervisor = Supervisor(workers=2, policy=FAST)
-        misses = [("die-a", 1), ("b", 2), ("c", 3), ("d", 4)]
-        affinity = {"die-a": "t1", "b": "t2", "c": "t2", "d": "t2"}
-        outcomes = dict(
-            _run_ordered(supervisor, misses, _die_key_a, affinity=affinity)
-        )
-        assert outcomes == {"die-a": 2, "b": 4, "c": 6, "d": 8}
-        assert supervisor.stats["pool_rebuilds"] >= 1
-
-
-def _die_key_a(task):
-    key, job, attempt = task
-    if key == "die-a" and attempt == 0:
-        os._exit(3)
-    return {"value": job * 2}
 
 
 class TestRetryPolicy:

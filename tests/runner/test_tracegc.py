@@ -50,18 +50,28 @@ class TestCollectGarbage:
         assert report.freed_bytes == 128
         assert not orphan_trace.exists() and not orphan_replay.exists()
 
-    def test_replay_artifacts_survive_a_slack_change(
-        self, populated_store, monkeypatch
-    ):
+    def test_replay_artifacts_survive_a_slack_change(self, populated_store):
         """Artifacts are matched by their embedded capture identity, so a
-        gc run under a different REPRO_REPLAY_SLACK (which changes the
-        content address) must not delete still-referenced captures."""
+        referenced capture written with another slack (which changes the
+        content address) must survive gc."""
+        from repro.cpu.capture import capture_workload
+        from repro.runner.integrity import write_checksum
+        from repro.runner.replaystore import replay_key, save_bundle
+        from repro.sim.build import capture_identity
+
+        config = SystemConfig.scaled(16).with_cores(2)
+        benchmarks = ("mcf", "libq")
+        identity = capture_identity(benchmarks, config, 300, 80, 0)
         traces = populated_store / "traces"
+        wide = traces / f"replay-{replay_key(identity, 0.9)}.npz"
+        assert not wide.exists()
+        save_bundle(capture_workload(benchmarks, config, 300, 80, 0, slack=0.9), wide)
+        write_checksum(wide)
         before = {p.name for p in traces.glob("replay-*.npz")}
-        assert before
-        monkeypatch.setenv("REPRO_REPLAY_SLACK", "0.9")
+        assert wide.name in before and len(before) == 2
         report = collect_garbage(populated_store)
         assert report.removed == []
+        assert wide.name in report.kept
         assert {p.name for p in traces.glob("replay-*.npz")} == before
 
     def test_stale_tmp_files_are_pruned_after_grace(self, populated_store):
