@@ -273,6 +273,19 @@ class TestArtifactStore:
         store.materialise(BENCHMARKS, config, 200, 50, 0)
         assert store.stats == {"captured": 1, "reused": 1}
 
+    def test_default_slack_is_a_constant(self, tmp_path, monkeypatch):
+        from repro.cpu.capture import REPLAY_SLACK
+
+        # The slack is part of every replay key; no environment setting
+        # may move it, or stored artifacts would stop being found.
+        monkeypatch.setenv("REPRO_REPLAY_SLACK", "0.9")
+        assert REPLAY_SLACK == 0.25
+        config = golden_config()
+        assert capture_workload(BENCHMARKS, config, 200, 50, 0).meta["slack"] == 0.25
+        entry = ReplayStore(tmp_path).materialise(BENCHMARKS, config, 200, 50, 0)
+        ident = capture_identity(BENCHMARKS, config, 200, 50, 0)
+        assert entry["path"] == str(tmp_path / f"replay-{replay_key(ident, 0.25)}.npz")
+
     def test_manifest_registry_round_trip(self, tmp_path):
         store = ReplayStore(tmp_path)
         config = golden_config()

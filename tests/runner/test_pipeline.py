@@ -8,10 +8,13 @@ each artifact at most once per worker, observably via ``runner.stats``.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.runner import ParallelRunner, WorkloadJob
 from repro.runner import replaystore
+from repro.runner import supervisor as supervisor_mod
 from repro.runner.supervisor import RetryPolicy
 from repro.trace.workloads import Workload
 
@@ -75,6 +78,22 @@ class TestPipelinedEquivalence:
         # of the 2 workers loads each of the 2 sweeps' artifacts at most
         # once, however the 6 replays are spread.
         assert runner.stats["bundle_loads"] <= 2 * 2
+
+    def test_sweep_runs_on_one_shared_pool(self, tiny_config, monkeypatch):
+        built = []
+
+        class _CountedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self._max_workers)
+
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", _CountedPool)
+        jobs = _sweep(tiny_config, ("lru", "adapt"))
+        results, runner = _run(jobs, n=2)
+        assert len(results) == len(jobs)
+        assert runner.stats["failed"] == 0
+        # Capture and replays alike go to one pool of both workers.
+        assert built == [2]
 
 
 class TestCaptureFailureDegradation:

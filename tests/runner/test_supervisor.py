@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.runner import supervisor as supervisor_mod
 from repro.runner.supervisor import FailureRecord, RetryPolicy, Supervisor
 
 #: Fast-retry policy so tests never wait on real backoff.
@@ -59,6 +61,28 @@ def _sleep_one_second(task):
     key, job, attempt = task
     time.sleep(1.0)
     return {"value": job * 2}
+
+
+def _stamp_start(task):
+    key, job, attempt = task
+    started = time.time()
+    time.sleep(0.2)
+    return {"value": started}
+
+
+class _PeakPool(ProcessPoolExecutor):
+    """Executor that records the most unfinished futures it ever held."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.unfinished = []
+        self.peak = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.unfinished = [f for f in self.unfinished if not f.done()] + [future]
+        self.peak = max(self.peak, len(self.unfinished))
+        return future
 
 
 def _run(supervisor, misses, worker_fn):
@@ -147,6 +171,41 @@ class TestPoolScheduling:
         outcomes = _run(supervisor, [("a", 1), ("b", 2), ("c", 3)], _sleep_one_second)
         assert outcomes == {"a": 2, "b": 4, "c": 6}
         assert supervisor.stats["timeouts"] == 0
+
+    def test_in_flight_never_exceeds_workers(self, monkeypatch):
+        # Nothing waits inside the executor: the supervisor holds the
+        # queue and submits only as workers free up.
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", _PeakPool)
+        supervisor = Supervisor(workers=2, policy=FAST)
+        pool = supervisor.pool
+        misses = [(f"j{i}", i) for i in range(8)]
+        outcomes = _run(supervisor, misses, _echo)
+        assert outcomes == {key: job * 2 for key, job in misses}
+        assert pool.peak == 2
+
+    def test_pool_is_topped_up_before_outcomes_are_yielded(self):
+        # Two workers, three jobs: the third must start on the worker the
+        # first outcome freed while the caller is still busy with that
+        # outcome, not after the caller comes back for the next one.
+        supervisor = Supervisor(workers=2, policy=FAST)
+        starts = {}
+        resumed = None
+        try:
+            for key, _, outcome in supervisor.run_jobs(
+                [("a", 1), ("b", 2), ("c", 3)],
+                worker_fn=_stamp_start,
+                task_for=lambda key, job, attempt: (key, job, attempt),
+                inline_fn=lambda key, job: time.time(),
+                decode=lambda job, data: data["value"],
+            ):
+                starts[key] = outcome
+                if resumed is None:
+                    time.sleep(0.75)
+                    resumed = time.time()
+        finally:
+            supervisor.shutdown(cancel=True)
+        assert set(starts) == {"a", "b", "c"}
+        assert starts["c"] < resumed
 
 
 class TestInlineScheduling:
