@@ -34,6 +34,7 @@ statement, which the golden differential suite machine-checks.
 
 from __future__ import annotations
 
+import json
 from array import array
 
 import numpy as np
@@ -59,7 +60,7 @@ EV_WB0, EV_WB1, EV_ND, EV_DEMAND, EV_BASELINE, EV_SNAPSHOT = 0, 1, 2, 3, 4, 5
 EVENT_DTYPE = np.dtype([("step", "<u8"), ("kind", "u1"), ("addr", "<i8"), ("pc", "<i8")])
 
 #: Capture artifact layout version (part of every content address).
-CAPTURE_FORMAT = 1
+CAPTURE_FORMAT = 2
 
 #: Target number of private-state checkpoints per stream (the replay
 #: finaliser re-simulates at most one inter-checkpoint span per core, so
@@ -77,6 +78,12 @@ class CoreTape:
     LLC event costs 25 B in memory.  All five grow in place on live
     extension, which is why no buffer view may outlive a method call: a
     buffer that is exporting a view refuses to resize.
+
+    Only the replay finaliser reads the checkpoint list, so a tape loaded
+    from an artifact keeps it as encoded JSON until :attr:`checkpoints`
+    is first read.  Live extension resumes from :attr:`end_state`, the
+    private-level state at the end of the recorded stream, which is kept
+    on its own for that reason.
     """
 
     __slots__ = (
@@ -85,7 +92,9 @@ class CoreTape:
         "ev_kind",
         "ev_addr",
         "ev_pc",
-        "checkpoints",
+        "_checkpoints",
+        "_checkpoints_json",
+        "end_state",
         "baseline",
         "finish",
         "length",
@@ -98,13 +107,33 @@ class CoreTape:
         self.ev_kind = bytearray()
         self.ev_addr = array("q")
         self.ev_pc = array("q")
-        self.checkpoints: list[dict] = []
+        self._checkpoints: list[dict] = []
+        self._checkpoints_json: bytes | None = None
+        self.end_state: dict | None = None
         self.baseline: dict | None = None
         self.finish: dict | None = None
         self.length = 0
         #: Scratch continuation simulator, attached lazily by the replay
         #: kernel when a run outlives the captured stream.
         self.live_sim: PrivateCoreSim | None = None
+
+    @property
+    def checkpoints(self) -> list[dict]:
+        """Private-state checkpoints in index order (decoded on first read)."""
+        if self._checkpoints_json is not None:
+            # Checkpoints appended by live extension follow the stored ones.
+            self._checkpoints[:0] = json.loads(self._checkpoints_json)
+            self._checkpoints_json = None
+        return self._checkpoints
+
+    def append_checkpoint(self, state: dict) -> None:
+        """Add the newest checkpoint without decoding the stored ones."""
+        self._checkpoints.append(state)
+
+    def store_checkpoints(self, encoded: bytes) -> None:
+        """Hold a stored checkpoint list encoded until it is read."""
+        self._checkpoints = []
+        self._checkpoints_json = encoded
 
     def events_array(self) -> np.ndarray:
         # Each np.frombuffer view is a temporary dropped right after its
@@ -149,9 +178,9 @@ class PrivateCoreSim:
 
     * **capture** — ``run(n, record=True)`` appends step codes and LLC
       events to a :class:`CoreTape`;
-    * **live continuation** — the replay kernel resumes a tape-end
-      checkpoint on scratch objects and keeps recording when a run
-      outlives the captured stream;
+    * **live continuation** — the replay kernel resumes a tape's end state
+      on scratch objects and keeps recording when a run outlives the
+      captured stream;
     * **reconstruction** — the replay finaliser resumes the engine's *own*
       cache/prefetcher/source objects from a checkpoint and re-simulates
       (``record=False``) up to the exact access index where the fused
@@ -611,9 +640,11 @@ class PrivateCoreSim:
 #: so each stream is captured ``1 + slack`` times the per-core access
 #: budget; a replay that outruns a stream switches to live private-level
 #: continuation (bit-identical, and the extension is appended to the
-#: bundle so later replays of the same bundle reuse it).  Typical mixes
-#: overrun by a few percent, so the slack stays lean.  It is part of the
-#: replay key.
+#: bundle so later replays of the same bundle reuse it).  Overruns are
+#: not rare: the 4-core tournament sweep at seed 0 makes 58 extensions,
+#: which add 0.44x its captured accesses (``deal`` in
+#: ``astar+apsi+black+deal`` runs 91,094 accesses against a 33,750-access
+#: capture).  It is part of the replay key.
 REPLAY_SLACK = 0.25
 
 
@@ -723,7 +754,7 @@ def capture_workload(
         boundaries.update(range(interval, n_cap, interval))
         # Index-0 checkpoint: reconstruction of a cut before the first
         # interval starts from the pristine state.
-        tape.checkpoints.append(sim.snapshot_state())
+        tape.append_checkpoint(sim.snapshot_state())
         done = 0
         for boundary in sorted(boundaries):
             sim.run(boundary - done)
@@ -749,7 +780,8 @@ def capture_workload(
                 tape.ev_addr.append(0)
                 tape.ev_pc.append(0)
             if boundary % interval == 0 or boundary == n_cap:
-                tape.checkpoints.append(sim.snapshot_state())
+                tape.append_checkpoint(sim.snapshot_state())
+        tape.end_state = tape.checkpoints[-1]
         tapes.append(tape)
 
     return CaptureBundle(meta, tapes)
@@ -760,10 +792,11 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
 
     Used by the replay kernel when a run outlives the captured stream
     (heavy completion-time skew between co-runners).  The continuation
-    runs on scratch private levels resumed from the tape-end checkpoint —
-    the engine's own objects stay untouched for the final reconstruction —
-    and appends a fresh checkpoint so both further extension and the
-    finaliser can pick up from the new end.
+    runs on scratch private levels resumed from the tape's
+    :attr:`~CoreTape.end_state` — the engine's own objects stay untouched
+    for the final reconstruction — and stays attached to the tape for
+    further extension; it appends checkpoints for the finaliser without
+    decoding a loaded tape's stored ones.
     """
     tape = bundle.tapes[core_id]
     sim = tape.live_sim
@@ -779,16 +812,17 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
             meta["master_seed"],
         )
         sim = PrivateCoreSim(l1, l2, prefetcher, meta["l1_next_line_prefetch"], source, tape)
-        end_state = tape.checkpoints[-1]
+        end_state = tape.end_state
         sim.restore_state(end_state)
         advance_source(source, end_state["index"])
         tape.live_sim = sim
     sim.run(n)
     # Keep the capture pass's checkpoint density: further extension resumes
     # from the persistent live_sim, and the replay finaliser only needs a
-    # checkpoint within one interval of the final cut — appending one per
-    # extension chunk would bloat long overruns for no benefit.
+    # checkpoint within one interval of the final cut — one per interval
+    # boundary crossed, since appending one per extension chunk would
+    # bloat long overruns for no benefit.
     meta = bundle.meta
     interval = max(TraceSource.CHUNK, -(-meta["length"] // _TARGET_CHECKPOINTS))
-    if sim.count - tape.checkpoints[-1]["index"] >= interval:
-        tape.checkpoints.append(sim.snapshot_state())
+    if sim.count // interval > (sim.count - n) // interval:
+        tape.append_checkpoint(sim.snapshot_state())

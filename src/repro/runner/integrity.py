@@ -90,6 +90,27 @@ def verify_artifact(path: str | Path) -> bool | None:
         return False
 
 
+#: Path -> outcome of every :func:`verify_once` that did not fail.
+_VERIFIED: dict[str, bool | None] = {}
+
+
+def verify_once(path: str | Path) -> bool | None:
+    """:func:`verify_artifact`, hashing each path once per process.
+
+    For read-only buffers every source maps itself: the first reader in
+    a process pays for the checksum, later ones reuse its outcome.  A
+    failure is never remembered, since the caller quarantines the file
+    and a later one at the same path is a fresh artifact.
+    """
+    key = str(path)
+    if key not in _VERIFIED:
+        result = verify_artifact(path)
+        if result is False:
+            return False
+        _VERIFIED[key] = result
+    return _VERIFIED[key]
+
+
 def quarantine_dir(root: str | Path) -> Path:
     return Path(root) / QUARANTINE_DIRNAME
 

@@ -100,8 +100,9 @@ def _execute_payload(task: tuple[dict, list[dict], list[dict], str, int]) -> dic
     """Worker entry point: dict in, dict out — nothing exotic crosses the pipe.
 
     The shared-trace and replay-capture manifests ride along with every
-    payload; installing them is idempotent (mappings and bundles are
-    cached per path), so a worker reusing a process across tasks maps
+    payload; installing them is idempotent (each buffer's checksum is
+    checked once per process, each sweep's bundle stays resident while
+    its jobs run), so a worker reusing a process across tasks verifies
     each buffer once — and a *fresh* worker after a pool rebuild needs no
     re-initialisation beyond its first task.  The job's cache key and
     attempt number ride along too, for the fault-injection harness.
@@ -271,7 +272,7 @@ class ParallelRunner:
             # same buffers the pool workers map.
             install_manifest(manifest)
         # One supervisor (and pool) serves captures and sims alike: the
-        # capture jobs warm the workers (imports, trace-buffer mmaps).
+        # capture jobs warm the workers (imports).
         supervisor = Supervisor(
             workers=min(self.jobs, len(misses)) if len(misses) > 1 else 1,
             policy=self.retry,

@@ -8,10 +8,12 @@ private-level streams a whole policy sweep replays through the
 LLC-filtered kernel (:mod:`repro.cpu.replay`).
 
 Artifacts are structured-NumPy end to end — per-core ``uint8`` step
-streams and structured event records plus one JSON meta blob (bundle
-identity, checkpoints, baseline/finish stat records) — written atomically
-and addressed by a SHA-256 over the capture identity, so a stale or
-foreign file is simply never loaded.
+streams, structured event records and JSON-encoded checkpoint lists,
+plus one JSON meta blob (bundle identity, baseline/finish stat records,
+tape-end states) — written atomically and addressed by a SHA-256 over
+the capture identity, so a stale or foreign file is simply never loaded.
+Each checkpoint list is its own member so a load can leave it encoded:
+only a finalised replay ever reads it.
 
 The lifecycle mirrors shared traces, driven by
 :class:`~repro.runner.parallel.ParallelRunner`:
@@ -23,9 +25,10 @@ The lifecycle mirrors shared traces, driven by
    :func:`install_replay_manifest` registers the artifacts in the
    executing process;
 3. :func:`active_replay_bundle` (consulted by
-   :func:`repro.sim.multi.run_workload`) lazily loads and caches the
-   bundle for a registered identity, so every swept job runs on the
-   replay kernel with an automatic fallback to the fused loop;
+   :func:`repro.sim.multi.run_workload`) lazily loads the bundle for a
+   registered identity and keeps it resident until another sweep's
+   bundle replaces it, so every swept job runs on the replay kernel with
+   an automatic fallback to the fused loop;
 4. the parent clears the registry after the batch; files persist and are
    reused content-addressed by later invocations.
 
@@ -39,7 +42,6 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -68,20 +70,24 @@ def save_bundle(bundle: CaptureBundle, path: Path | str) -> None:
         "meta": bundle.meta,
         "tapes": [
             {
-                "checkpoints": tape.checkpoints,
                 "baseline": tape.baseline,
                 "finish": tape.finish,
                 "length": tape.length,
+                # A live-extended tape ends where its continuation is now.
+                "end_state": (
+                    tape.live_sim.snapshot_state()
+                    if tape.live_sim is not None
+                    else tape.end_state
+                ),
             }
             for tape in bundle.tapes
         ],
     }
-    arrays = {
-        "meta_json": np.frombuffer(json.dumps(blob).encode(), dtype=np.uint8)
-    }
+    arrays = {"meta_json": _json_member(blob)}
     for i, tape in enumerate(bundle.tapes):
         arrays[f"steps_{i}"] = tape.steps_array()
         arrays[f"events_{i}"] = tape.events_array()
+        arrays[f"checkpoints_{i}"] = _json_member(tape.checkpoints)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -94,6 +100,10 @@ def save_bundle(bundle: CaptureBundle, path: Path | str) -> None:
         except OSError:
             pass
         raise
+
+
+def _json_member(value) -> np.ndarray:
+    return np.frombuffer(json.dumps(value).encode(), dtype=np.uint8)
 
 
 def identity_from_meta(meta: dict) -> tuple:
@@ -121,7 +131,11 @@ def identity_from_meta(meta: dict) -> tuple:
 
 
 def load_meta(path: Path | str) -> dict | None:
-    """Just an artifact's meta block (no tapes); ``None`` on any damage."""
+    """Just an artifact's meta block (no tapes); ``None`` on any damage.
+
+    An intact artifact of another :data:`CAPTURE_FORMAT` still returns
+    its meta (check ``meta["format"]``): it is stale, not damaged.
+    """
     try:
         with np.load(path, allow_pickle=False) as npz:
             blob = json.loads(bytes(npz["meta_json"]).decode())
@@ -130,13 +144,14 @@ def load_meta(path: Path | str) -> dict | None:
         # "Any damage" includes mid-file corruption, which surfaces as
         # BadZipFile/UnicodeDecodeError/... depending on which bytes hit.
         return None
-    if meta.get("format") != CAPTURE_FORMAT:
-        return None
-    return meta
+    return meta if isinstance(meta, dict) else None
 
 
 def load_bundle(path: Path | str) -> CaptureBundle | None:
-    """Load an artifact back into a live bundle; ``None`` on any damage."""
+    """Load an artifact back into a live bundle; ``None`` on any damage.
+
+    Checkpoint lists stay encoded on their tapes until first read.
+    """
     try:
         with np.load(path, allow_pickle=False) as npz:
             blob = json.loads(bytes(npz["meta_json"]).decode())
@@ -149,7 +164,8 @@ def load_bundle(path: Path | str) -> CaptureBundle | None:
                 if events.dtype != EVENT_DTYPE:
                     return None
                 tape = CoreTape.from_arrays(npz[f"steps_{i}"], events)
-                tape.checkpoints = rec["checkpoints"]
+                tape.store_checkpoints(npz[f"checkpoints_{i}"].tobytes())
+                tape.end_state = rec["end_state"]
                 tape.baseline = rec["baseline"]
                 tape.finish = rec["finish"]
                 tape.length = rec["length"]
@@ -210,14 +226,16 @@ class ReplayStore:
 
 #: Identity tuple -> artifact path, installed from a manifest.
 _ACTIVE: dict[tuple, str] = {}
-#: Path -> loaded bundle (LRU), so every job of a sweep that lands on a
-#: worker reuses that worker's one load (and shares any live tape
-#: extensions within the process).  Bounded: a loaded bundle holds its
-#: typed tapes (25 B per LLC event) plus its checkpoints as Python
-#: objects, so an unbounded cache would grow a long-lived worker by one
-#: platform per sweep.
-_BUNDLES: "OrderedDict[str, CaptureBundle | None]" = OrderedDict()
-_BUNDLE_CACHE_LIMIT = 4
+#: Path -> loaded bundle, at most one entry: the sweep in flight.  A
+#: sweep's jobs sit together in the supervisor's FIFO queue, so a worker
+#: finishes with one bundle before it needs the next, and every job of
+#: the sweep that lands on the worker reuses its one load (and shares any
+#: live tape extensions).  A second sweep's load replaces the entry, so a
+#: long-lived worker holds one platform's tapes, not one per sweep.
+_RESIDENT: dict[str, CaptureBundle] = {}
+#: Paths that failed their checksum or did not load: misses for the rest
+#: of the batch, kept apart so they never evict the resident bundle.
+_UNUSABLE: set[str] = set()
 
 #: Monotonic per-process counter of artifact loads from disk; the parallel
 #: runner ships per-task deltas back and aggregates them into
@@ -243,8 +261,13 @@ def install_replay_manifest(entries: list[dict]) -> None:
 
 
 def clear_replay_manifest() -> None:
-    """Drop the registry (loaded bundles stay cached for a later install)."""
+    """Drop the registry and its misses (the resident bundle stays).
+
+    A batch ends here, and the next batch may re-capture a quarantined
+    path, so a damaged artifact misses for one batch only.
+    """
     _ACTIVE.clear()
+    _UNUSABLE.clear()
 
 
 def active_replay_bundle(
@@ -252,9 +275,10 @@ def active_replay_bundle(
 ):
     """The registered capture bundle for one run identity, or ``None``.
 
-    Loads the artifact on first use and caches it per path; an unreadable
-    or mismatched file registers as a permanent miss, so the affected jobs
-    simply run on the fused kernel.
+    Loads the artifact on first use and keeps it as the resident bundle;
+    an unreadable or mismatched file is quarantined and misses for the
+    rest of the batch, so the affected jobs simply run on the fused
+    kernel.
     """
     if not _ACTIVE:
         return None
@@ -262,25 +286,26 @@ def active_replay_bundle(
 
     identity = capture_identity(benchmarks, config, quota, warmup, master_seed)
     path = _ACTIVE.get(identity)
-    if path is None:
+    if path is None or path in _UNUSABLE:
         return None
-    if path not in _BUNDLES:
-        while len(_BUNDLES) >= _BUNDLE_CACHE_LIMIT:
-            _BUNDLES.popitem(last=False)
-        if verify_artifact(path) is False:
-            # Checksum mismatch: a corrupt .npz may still *load* with
-            # wrong tape data, so quarantine instead of trusting it.
-            quarantine(path, reason="replay checksum mismatch")
-            _BUNDLES[path] = None
-        else:
-            bundle = load_bundle(path)
-            if bundle is None and os.path.isfile(path):
-                # Structurally unreadable (truncated/damaged npz): the
-                # next materialise should re-capture, not re-reuse it.
-                quarantine(path, reason="replay unreadable")
-            if bundle is not None:
-                REGISTRY_STATS["bundle_loads"] += 1
-            _BUNDLES[path] = bundle
-    else:
-        _BUNDLES.move_to_end(path)
-    return _BUNDLES[path]
+    bundle = _RESIDENT.get(path)
+    if bundle is not None:
+        return bundle
+    if verify_artifact(path) is False:
+        # Checksum mismatch: a corrupt .npz may still *load* with wrong
+        # tape data, so quarantine instead of trusting it.
+        quarantine(path, reason="replay checksum mismatch")
+        _UNUSABLE.add(path)
+        return None
+    bundle = load_bundle(path)
+    if bundle is None:
+        if os.path.isfile(path):
+            # Structurally unreadable (truncated/damaged npz): the next
+            # materialise should re-capture, not re-reuse it.
+            quarantine(path, reason="replay unreadable")
+        _UNUSABLE.add(path)
+        return None
+    REGISTRY_STATS["bundle_loads"] += 1
+    _RESIDENT.clear()
+    _RESIDENT[path] = bundle
+    return bundle

@@ -197,6 +197,7 @@ def collect_garbage(
     ``traces/quarantine/`` so the next sweep regenerates them; without it
     they are only reported.
     """
+    from repro.cpu.capture import CAPTURE_FORMAT
     from repro.runner.replaystore import identity_from_meta, load_meta
 
     store = ResultStore(results_dir)
@@ -230,7 +231,10 @@ def collect_garbage(
                 continue
             if path.suffix == ".npz":
                 meta = load_meta(path)
-                if meta is not None and identity_from_meta(meta) in replay_identities:
+                # An intact artifact of another capture format is garbage:
+                # its content address can never be looked up again.
+                current = meta is not None and meta.get("format") == CAPTURE_FORMAT
+                if current and identity_from_meta(meta) in replay_identities:
                     if _is_corrupt(path):
                         corrupt.append(path.name)
                         if fix and not dry_run:

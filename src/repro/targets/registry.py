@@ -213,19 +213,17 @@ def registered_buffer_names(directory: str | Path) -> set[str]:
 
 # -- the trace source ----------------------------------------------------------
 
-#: Path -> mapped buffer; every source over the same target in a process
-#: shares one read-only mapping (and all processes share page cache).
-_MAPS: dict[str, np.ndarray] = {}
-
-
 def _map_buffer(path: Path) -> np.ndarray:
-    from repro.runner.integrity import quarantine, verify_artifact
+    """A fresh read-only mapping for one source.
+
+    The mapping (and the pages it touched, which count towards this
+    process's RSS) dies with its source; the checksum is checked once
+    per process.
+    """
+    from repro.runner.integrity import quarantine, verify_once
     from repro.trace.shared import TRACE_DTYPE
 
-    arr = _MAPS.get(str(path))
-    if arr is not None:
-        return arr
-    if verify_artifact(path) is False:
+    if verify_once(path) is False:
         quarantine(path, reason="target trace checksum mismatch")
         raise ValueError(
             f"ingested trace {path.name} failed its checksum and was "
@@ -237,7 +235,6 @@ def _map_buffer(path: Path) -> np.ndarray:
         raise ValueError(f"cannot map ingested trace {path}: {exc}") from exc
     if arr.dtype != TRACE_DTYPE or arr.ndim != 1 or len(arr) == 0:
         raise ValueError(f"ingested trace {path.name} has an unexpected layout")
-    _MAPS[str(path)] = arr
     return arr
 
 

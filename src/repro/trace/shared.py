@@ -25,10 +25,11 @@ The lifecycle is driven by :class:`~repro.runner.parallel.ParallelRunner`:
 1. the parent scans a miss batch for trace identities needed by two or
    more jobs and calls :meth:`SharedTraceStore.materialise` for each;
 2. the resulting manifest rides along with every worker payload;
-   :func:`install_manifest` maps the files in the executing process;
+   :func:`install_manifest` verifies the files once per executing process;
 3. :func:`make_source` (used by the simulation builders) transparently
-   returns a :class:`SharedTraceSource` for registered identities and a
-   plain generator otherwise;
+   returns a :class:`SharedTraceSource` over its own mapping of the
+   buffer for registered identities and a plain generator otherwise, so
+   a mapping lives exactly as long as its source;
 4. the parent clears its registry after the batch; files persist in the
    store and are reused content-addressed by later invocations.
 
@@ -86,10 +87,12 @@ def trace_key(
 def chunks_for(quota: int, warmup: int, slack: float = 2.0) -> int:
     """Buffer length (in chunks) covering one run's expected consumption.
 
-    A core consumes roughly ``warmup + quota`` accesses; cores that finish
-    early keep running until the slowest core completes, so *slack* covers
-    typical skew.  Under-coverage is never a correctness issue — a source
-    that outruns its buffer falls back to live generation.
+    A core consumes at least ``warmup + quota`` accesses; cores that
+    finish early keep running until the slowest core completes, and that
+    skew can exceed any fixed *slack*: in the 4-core tournament mix
+    ``astar+apsi+black+deal``, ``deal`` runs 91,094 accesses against a
+    57,344-access buffer.  Under-coverage is never a correctness issue —
+    a source that outruns its buffer falls back to live generation.
     """
     accesses = max(1, round((quota + warmup) * slack))
     return -(-accesses // TraceSource.CHUNK)
@@ -207,58 +210,65 @@ class SharedTraceStore:
 
 # -- per-process registry ------------------------------------------------------
 
-#: Identity tuple -> mapped buffer, installed from a manifest.
-_ACTIVE: dict[tuple, np.ndarray] = {}
-#: Path -> mapped array, so repeated manifest installs reuse one mapping.
-_MAPS: dict[str, np.ndarray] = {}
+#: Identity tuple -> buffer path, installed from a manifest.  Paths, not
+#: mappings: :func:`lookup` maps a buffer per source, so a mapping (and
+#: the page-cache pages it has touched, which count towards this
+#: process's RSS) dies with the source instead of living as long as the
+#: process.
+_ACTIVE: dict[tuple, str] = {}
 
 
 def install_manifest(entries: list[dict]) -> None:
-    """Map every manifest buffer and register it for :func:`make_source`.
+    """Verify every manifest buffer and register it for :func:`make_source`.
 
-    Unreadable, mis-shaped or checksum-mismatched files are skipped — the
-    affected sources fall back to private generation, which is always
-    equivalent.  A mismatched file is quarantined: a bit-flipped buffer
-    would still map and feed silently wrong accesses into a simulation,
-    so it must leave the live namespace before anyone trusts it.
+    A checksum-mismatched file is quarantined and left unregistered: a
+    bit-flipped buffer would still map and feed silently wrong accesses
+    into a simulation, so it must leave the live namespace before anyone
+    trusts it.  Each path is verified once per process; mapping waits for
+    the first source that needs it.
     """
-    from repro.runner.integrity import quarantine, verify_artifact
+    from repro.runner.integrity import quarantine, verify_once
 
-    active: dict[tuple, np.ndarray] = {}
+    active: dict[tuple, str] = {}
     for entry in entries:
         path = entry["path"]
-        arr = _MAPS.get(path)
-        if arr is None:
-            if verify_artifact(path) is False:
-                quarantine(path, reason="trace checksum mismatch")
-                continue
-            try:
-                arr = np.load(path, mmap_mode="r")
-            except (OSError, ValueError):
-                continue
-            if arr.dtype != TRACE_DTYPE or arr.ndim != 1:
-                continue
-            _MAPS[path] = arr
+        if verify_once(path) is False:
+            quarantine(path, reason="trace checksum mismatch")
+            continue
         sets, l2b, l1b = entry["geometry"]
         geometry = Geometry(sets, l2b, l1b)
         ident = _identity(
             entry["benchmark"], geometry, entry["core_id"], entry["master_seed"]
         )
-        active[ident] = arr
+        active[ident] = path
     _ACTIVE.clear()
     _ACTIVE.update(active)
 
 
 def clear_manifest() -> None:
-    """Drop the registry (mappings stay cached for a later install)."""
+    """Drop the registry."""
     _ACTIVE.clear()
 
 
 def lookup(
     spec_name: str, geometry: Geometry, core_id: int, master_seed: int
 ) -> np.ndarray | None:
-    """The registered buffer for one trace identity, or ``None``."""
-    return _ACTIVE.get(_identity(spec_name, geometry, core_id, master_seed))
+    """A fresh read-only mapping of one identity's buffer, or ``None``.
+
+    ``None`` when the identity is unregistered or its file is unreadable
+    or mis-shaped; the source then generates privately, which is always
+    equivalent.
+    """
+    path = _ACTIVE.get(_identity(spec_name, geometry, core_id, master_seed))
+    if path is None:
+        return None
+    try:
+        arr = np.load(path, mmap_mode="r")
+    except (OSError, ValueError):
+        return None
+    if arr.dtype != TRACE_DTYPE or arr.ndim != 1:
+        return None
+    return arr
 
 
 def make_source(

@@ -297,6 +297,127 @@ class TestArtifactStore:
         assert active_replay_bundle(BENCHMARKS, config, 200, 50, 0) is None
 
 
+def _pending(tape) -> bool:
+    """Whether a loaded tape still holds its stored checkpoints encoded
+    (live extension may have appended decoded ones after them)."""
+    return tape._checkpoints_json is not None
+
+
+class TestLazyCheckpoints:
+    def test_load_decodes_checkpoints_only_when_read(self, bundle, tmp_path):
+        path = tmp_path / "replay-x.npz"
+        save_bundle(bundle, path)
+        loaded = load_bundle(path)
+        assert all(_pending(tape) for tape in loaded.tapes)
+        # A sweep's replay (no finalisation) never reads them...
+        assert run_replay(_engine("srrip"), loaded, finalize=False) is not None
+        assert all(_pending(tape) for tape in loaded.tapes)
+        # ...and the first read returns the captured list.
+        for a, b in zip(loaded.tapes, bundle.tapes):
+            assert a.checkpoints == b.checkpoints
+            assert a.end_state == b.checkpoints[-1]
+            assert not _pending(a)
+
+    def test_live_extension_never_decodes_stored_checkpoints(self, tmp_path):
+        lean = capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0, slack=0.0)
+        path = tmp_path / "replay-lean.npz"
+        save_bundle(lean, path)
+        loaded = load_bundle(path)
+        tape = loaded.tapes[0]
+        stored = len(lean.tapes[0].checkpoints)
+        for _ in range(3):
+            extend_tape(loaded, 0, loaded.meta["chunk"])
+        assert _pending(tape)
+        appended = list(tape._checkpoints)
+        assert appended and appended[-1]["index"] == tape.length
+        # Decoding puts the stored checkpoints first, extensions after.
+        indices = [ck["index"] for ck in tape.checkpoints]
+        assert indices == sorted(indices) and len(indices) == stored + len(appended)
+        # The finalised replay still ends bit-identical to a fused run.
+        expected = _engine("dip")
+        expected.run()
+        engine = _engine("dip")
+        run_replay(engine, loaded)
+        assert [c.accesses for c in engine.cores] == [c.accesses for c in expected.cores]
+        for ours, theirs in zip(engine.hierarchy.l2s, expected.hierarchy.l2s):
+            assert ours.addrs == theirs.addrs and ours.policy.rrpv == theirs.policy.rrpv
+
+    def test_extended_tape_saves_its_live_end(self, tmp_path):
+        lean = capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0, slack=0.0)
+        extend_tape(lean, 0, lean.meta["chunk"])
+        path = tmp_path / "replay-ext.npz"
+        save_bundle(lean, path)
+        loaded = load_bundle(path)
+        tape = loaded.tapes[0]
+        assert tape.end_state["index"] == tape.length == lean.tapes[0].length
+        # Resuming a loaded extended tape continues its stream exactly.
+        extend_tape(loaded, 0, lean.meta["chunk"])
+        extend_tape(lean, 0, lean.meta["chunk"])
+        assert tape.steps == lean.tapes[0].steps
+        assert tape.ev_step == lean.tapes[0].ev_step
+
+
+class TestResidentBundle:
+    @pytest.fixture
+    def two_sweeps(self, tmp_path):
+        from repro.runner import replaystore
+
+        replaystore._RESIDENT.clear()
+        store = ReplayStore(tmp_path)
+        config = golden_config()
+        entries = [store.materialise(BENCHMARKS, config, 200, 50, seed) for seed in (0, 1)]
+        install_replay_manifest(entries)
+        yield config, entries
+        replaystore._RESIDENT.clear()
+
+    @staticmethod
+    def _loads() -> int:
+        from repro.runner.replaystore import REGISTRY_STATS
+
+        return REGISTRY_STATS["bundle_loads"]
+
+    def test_second_sweep_replaces_the_resident_bundle(self, two_sweeps):
+        from repro.runner import replaystore
+
+        config, entries = two_sweeps
+        before = self._loads()
+        first = active_replay_bundle(BENCHMARKS, config, 200, 50, 0)
+        assert active_replay_bundle(BENCHMARKS, config, 200, 50, 0) is first
+        assert self._loads() == before + 1
+        second = active_replay_bundle(BENCHMARKS, config, 200, 50, 1)
+        assert second is not None and second is not first
+        assert list(replaystore._RESIDENT) == [entries[1]["path"]]
+        assert self._loads() == before + 2
+        # The first sweep's bundle is gone: asking again reloads it.
+        assert active_replay_bundle(BENCHMARKS, config, 200, 50, 0) is not first
+        assert self._loads() == before + 3
+
+    @pytest.mark.parametrize("damage", ["checksum", "unreadable"])
+    def test_quarantined_artifact_never_evicts_the_resident(self, two_sweeps, damage):
+        from pathlib import Path
+
+        from repro.runner import replaystore
+        from repro.runner.faults import corrupt_file
+        from repro.runner.integrity import checksum_path
+
+        config, entries = two_sweeps
+        resident = active_replay_bundle(BENCHMARKS, config, 200, 50, 0)
+        loads = self._loads()
+        bad = Path(entries[1]["path"])
+        if damage == "checksum":
+            corrupt_file(bad)
+        else:
+            checksum_path(bad).unlink()
+            bad.write_bytes(b"not an npz")
+        assert active_replay_bundle(BENCHMARKS, config, 200, 50, 1) is None
+        assert (bad.parent / "quarantine" / bad.name).is_file()
+        assert list(replaystore._RESIDENT) == [entries[0]["path"]]
+        assert active_replay_bundle(BENCHMARKS, config, 200, 50, 0) is resident
+        # The bad path stays a miss without another load attempt.
+        assert active_replay_bundle(BENCHMARKS, config, 200, 50, 1) is None
+        assert self._loads() == loads
+
+
 class TestRunnerIntegration:
     POLICIES = ("lru", "srrip", "ship")
 
@@ -383,6 +504,8 @@ class TestTapeArrays:
     def test_decoded_bundle_costs_under_40_bytes_per_event(self, tmp_path):
         # Large enough that per-bundle fixed costs (meta, objects) vanish
         # against the per-event tapes.  Python-int lists cost ~120 B/event.
+        # The bound covers the whole loaded bundle, encoded checkpoints
+        # and tape-end states included.
         bundle = capture_workload(BENCHMARKS, golden_config(), 8000, 2000, 0)
         path = tmp_path / "replay-big.npz"
         save_bundle(bundle, path)
@@ -390,8 +513,6 @@ class TestTapeArrays:
         tracemalloc.start()
         try:
             loaded = load_bundle(path)
-            for tape in loaded.tapes:
-                tape.checkpoints = []
             held, _peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -2,7 +2,7 @@
 
 The load-bearing properties: pipelined and replay-disabled runs are
 bit-identical; a failed capture costs only its sweep's replay kernel
-(never a result); and the per-process bundle cache makes a sweep load
+(never a result); and the per-process resident bundle makes a sweep load
 each artifact at most once per worker, observably via ``runner.stats``.
 """
 
@@ -26,10 +26,10 @@ MIXES = {"thrash": ("mcf", "libq"), "friendly": ("gcc", "calc")}
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     """Per-test isolation for the process-local replay caches."""
-    replaystore._BUNDLES.clear()
+    replaystore._RESIDENT.clear()
     replaystore.clear_replay_manifest()
     yield
-    replaystore._BUNDLES.clear()
+    replaystore._RESIDENT.clear()
     replaystore.clear_replay_manifest()
 
 

@@ -74,6 +74,29 @@ class TestCollectGarbage:
         assert wide.name in report.kept
         assert {p.name for p in traces.glob("replay-*.npz")} == before
 
+    def test_foreign_format_artifact_is_pruned_not_corrupt(self, populated_store):
+        """An intact, checksummed capture of another artifact format (a
+        store written before a format bump) is stale garbage: gc prunes
+        it instead of reporting or quarantining it as corrupt."""
+        from repro.cpu.capture import CAPTURE_FORMAT
+        from repro.runner.integrity import write_checksum
+        from repro.runner.replaystore import load_bundle, save_bundle
+
+        traces = populated_store / "traces"
+        current = next(iter(traces.glob("replay-*.npz")))
+        bundle = load_bundle(current)
+        bundle.meta["format"] = CAPTURE_FORMAT + 1
+        foreign = traces / ("replay-" + "deadbeef" * 5 + ".npz")
+        save_bundle(bundle, foreign)
+        write_checksum(foreign)
+        report = collect_garbage(populated_store, fix=True)
+        assert report.corrupt == []
+        assert foreign.name in report.removed
+        assert foreign.name + ".sha256" in report.removed
+        assert current.name in report.kept
+        assert not foreign.exists()
+        assert not (traces / "quarantine").exists()
+
     def test_stale_tmp_files_are_pruned_after_grace(self, populated_store):
         import os
         import time

@@ -3,6 +3,9 @@ kernel differential over an ingested workload."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from make_fixtures import FIXTURE_DIR
@@ -138,6 +141,34 @@ class TestIngestedTraceSource:
         assert source.instructions_per_access == spec.instructions_per_access
         assert source.spec.base_cpi == spec.base_cpi
         assert source.spec.mlp == spec.mlp
+
+    def test_dropping_the_source_releases_its_mapping(self, active, traces_dir):
+        spec = active["tgt:toy-champsim"]
+        source = make_target_source(spec, GEOMETRY, 0, directory=traces_dir)
+        other = make_target_source(spec, GEOMETRY, 1, directory=traces_dir)
+        assert other._buffer is not source._buffer
+        source.next_access()
+        mapping = weakref.ref(source._buffer)
+        del source
+        gc.collect()
+        assert mapping() is None
+
+    def test_buffer_is_verified_once_per_path(self, active, traces_dir, monkeypatch):
+        from repro.runner import integrity
+
+        spec = active["tgt:toy.lackey"]
+        calls = []
+        real = integrity.verify_artifact
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(integrity, "verify_artifact", counting)
+        monkeypatch.setattr(integrity, "_VERIFIED", {})
+        for core_id in range(3):
+            make_target_source(spec, GEOMETRY, core_id, directory=traces_dir)
+        assert calls == [buffer_path(traces_dir, spec.key)]
 
     def test_unresolvable_without_active_directory(self, ingested):
         with pytest.raises(ValueError, match=ENV_TARGETS_DIR):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -128,6 +132,46 @@ class TestSharedTraceSource:
                 }
             ]
         )
+        assert shared.lookup(SPEC.name, GEOM, 0, 5) is None
+        assert type(shared.make_source(SPEC, GEOM, 0, 5)) is TraceSource
+
+    def test_mapping_dies_with_its_source(self, tmp_path):
+        source = self._shared_source(tmp_path, n_chunks=2)
+        other = shared.make_source(SPEC, GEOM, 0, 5)
+        # Every source maps the buffer itself: no process-wide cache.
+        assert other._shared is not source._shared
+        source.next_access()
+        mapping = weakref.ref(source._shared)
+        del source
+        gc.collect()
+        assert mapping() is None
+
+    def test_install_verifies_each_path_once(self, tmp_path, monkeypatch):
+        from repro.runner import integrity
+
+        entry = shared.SharedTraceStore(tmp_path).materialise(SPEC, GEOM, 0, 5, 2)
+        calls = []
+        real = integrity.verify_artifact
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(integrity, "verify_artifact", counting)
+        for _ in range(3):
+            shared.install_manifest([entry])
+            assert isinstance(
+                shared.make_source(SPEC, GEOM, 0, 5), shared.SharedTraceSource
+            )
+        assert calls == [entry["path"]]
+
+    def test_corrupt_buffer_is_quarantined_on_first_install(self, tmp_path):
+        from repro.runner.faults import corrupt_file
+
+        entry = shared.SharedTraceStore(tmp_path).materialise(SPEC, GEOM, 0, 5, 2)
+        corrupt_file(entry["path"])
+        shared.install_manifest([entry])
+        assert (tmp_path / "quarantine" / Path(entry["path"]).name).is_file()
         assert shared.lookup(SPEC.name, GEOM, 0, 5) is None
         assert type(shared.make_source(SPEC, GEOM, 0, 5)) is TraceSource
 
